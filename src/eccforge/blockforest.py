@@ -3,14 +3,16 @@ node, and size-aware linking with edge payload handover.
 
 Parent pointers are left stale when nodes merge; a union-find layer resolves
 any stored pointer to the live representative. Tree sizes live on roots.
-Path discovery climbs alternately from both endpoints with marking, so it
-costs O(|path|) without any depth bookkeeping.
+Path discovery is the marked two-pointer climb of `climb.meet_paths`, shared
+with the decomposition tree and the cactus forest, so it costs O(|path|)
+without any depth bookkeeping.
 """
 
 from __future__ import annotations
 
 from typing import Any, Optional
 
+from .climb import meet_paths
 from .dsu import DsuForest
 
 
@@ -95,12 +97,12 @@ class BlockForest:
         y = self.representative(y)
         if x is y:
             raise SameNodeError("path endpoints coincide")
-        meet = self._find_meet(x, y)
-        if meet is None:
+        paths = meet_paths(x, y, self.parent_of)
+        if paths is None:
             raise NotSameTreeError("nodes lie in different trees")
 
-        up_x = self._climb_to(x, meet)
-        up_y = self._climb_to(y, meet)
+        up_x, up_y = paths
+        meet = up_x[-1]
         nodes = up_x + up_y[-2::-1]
         payloads = [n.edge for n in up_x[:-1]] + [n.edge for n in up_y[-2::-1]]
 
@@ -136,47 +138,6 @@ class BlockForest:
             rx.size += ry.size
 
     # -- internals -------------------------------------------------------
-
-    def _find_meet(
-        self, x: BlockTreeNode, y: BlockTreeNode
-    ) -> Optional[BlockTreeNode]:
-        marked = [x, y]
-        x._mark = y._mark = True
-        a, b = x, y
-        a_done = b_done = False
-        meet = None
-        while meet is None and not (a_done and b_done):
-            if not a_done:
-                pa = self.parent_of(a)
-                if pa is None:
-                    a_done = True
-                elif pa._mark:
-                    meet = pa
-                else:
-                    pa._mark = True
-                    marked.append(pa)
-                    a = pa
-            if meet is None and not b_done:
-                pb = self.parent_of(b)
-                if pb is None:
-                    b_done = True
-                elif pb._mark:
-                    meet = pb
-                else:
-                    pb._mark = True
-                    marked.append(pb)
-                    b = pb
-        for n in marked:
-            n._mark = False
-        return meet
-
-    def _climb_to(
-        self, start: BlockTreeNode, stop: BlockTreeNode
-    ) -> list[BlockTreeNode]:
-        path = [start]
-        while path[-1] is not stop:
-            path.append(self.parent_of(path[-1]))
-        return path
 
     def _reroot(self, path: list[BlockTreeNode]) -> None:
         # path[0] becomes the root; each node on the way hands its edge

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
+from .climb import meet_paths
 from .dsu import DsuForest
 
 
@@ -150,12 +151,12 @@ class CactusForest:
         y = self.representative(y)
         if x is y:
             raise SameNodeError("cycle-path endpoints coincide")
-        meet = self._find_meet(x, y)
-        if meet is None:
+        paths = meet_paths(x, y, self._up)
+        if paths is None:
             raise NotSameCactusError("nodes lie in different cactuses")
 
-        up_x = self._climb_to(x, meet)
-        up_y = self._climb_to(y, meet)
+        up_x, up_y = paths
+        meet = up_x[-1]
         if isinstance(meet, RealNode):
             reals_x = up_x[::2]
             reals_y = up_y[::2]
@@ -249,42 +250,8 @@ class CactusForest:
 
     # -- climbing ----------------------------------------------------------
 
-    def _find_meet(self, x: RealNode, y: RealNode):
-        marked = [x, y]
-        x._mark = y._mark = True
-        a, b = x, y
-        a_done = b_done = False
-        meet = None
-        while meet is None and not (a_done and b_done):
-            for side in (0, 1):
-                cur, done = (a, a_done) if side == 0 else (b, b_done)
-                if done or meet is not None:
-                    continue
-                up = cur.parent if isinstance(cur, RealNode) else self.cycle_parent(cur)
-                if up is None:
-                    if side == 0:
-                        a_done = True
-                    else:
-                        b_done = True
-                elif up._mark:
-                    meet = up
-                else:
-                    up._mark = True
-                    marked.append(up)
-                    if side == 0:
-                        a = up
-                    else:
-                        b = up
-        for n in marked:
-            n._mark = False
-        return meet
-
-    def _climb_to(self, start: RealNode, stop) -> list:
-        path: list = [start]
-        while path[-1] is not stop:
-            cur = path[-1]
-            path.append(cur.parent if isinstance(cur, RealNode) else self.cycle_parent(cur))
-        return path
+    def _up(self, node):
+        return node.parent if isinstance(node, RealNode) else self.cycle_parent(node)
 
     # -- squeezing ----------------------------------------------------------
 

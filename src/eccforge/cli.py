@@ -244,7 +244,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    sys.setrecursionlimit(200_000)
     parser = _build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "k", None) is None and args.command == "verify":

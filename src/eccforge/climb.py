@@ -1,0 +1,54 @@
+"""The marked two-pointer climb shared by the decomposition tree, the block
+forest and the cactus forest.
+
+Both endpoints climb alternately, one step each, marking every node they
+pass; the first climber to step onto a marked node has found the meeting
+node. The cost is O(|path from x to y|) with no depth bookkeeping.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Callable, Optional
+
+
+def meet_paths(
+    x: Any, y: Any, up: Callable[[Any], Any]
+) -> Optional[tuple[list, list]]:
+    """Paths from x and from y up to their meeting node, both inclusive.
+
+    `up(node)` gives the parent of a node, or None at a root. Nodes carry a
+    boolean `_mark` that is False on entry; every mark set here is cleared
+    before returning. x and y must be distinct. Returns None when they lie in
+    different trees; otherwise `path_x[-1] is path_y[-1]`.
+    """
+    path_x, path_y = [x], [y]
+    x._mark = y._mark = True
+    a, b = x, y
+    meet = None
+    while a is not None or b is not None:
+        if a is not None:
+            a = up(a)
+            if a is not None:
+                if a._mark:
+                    meet, hit, other = a, path_x, path_y
+                    break
+                a._mark = True
+                path_x.append(a)
+        if b is not None:
+            b = up(b)
+            if b is not None:
+                if b._mark:
+                    meet, hit, other = b, path_y, path_x
+                    break
+                b._mark = True
+                path_y.append(b)
+    for n in path_x:
+        n._mark = False
+    for n in path_y:
+        n._mark = False
+    if meet is None:
+        return None
+    # the meeting node is the other climber's; drop what it climbed past it
+    hit.append(meet)
+    del other[other.index(meet) + 1 :]
+    return path_x, path_y

@@ -9,16 +9,19 @@ by leaves answers same-subgraph queries.
 
 Edge insertion locates the nearest common ancestor of the two endpoint leaves
 and rewrites only that node's attached structure; interconnection edges that
-fall inside a freshly merged 3-ecc are re-inserted depth-first, which pushes
-them to deeper levels exactly once each.
+fall inside a freshly merged 3-ecc go on a worklist of owed insertions, which
+`insert_edge` drains before it returns. Each re-insertion pushes its edge to
+a deeper level, so no call stack grows with the depth of the tree.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Optional
 
 from .blockforest import BlockForest
 from .cactusforest import CactusForest
+from .climb import meet_paths
 from .dsu import DsuForest
 from .graph import SelfLoopError, UnknownVertexError
 
@@ -33,6 +36,8 @@ _CHILD_KIND = {
     KIND_2ECC: KIND_3ECC,
     KIND_3ECC: KIND_1ECC,
 }
+
+_parent = attrgetter("parent")
 
 
 class DecompError(Exception):
@@ -79,6 +84,7 @@ class DecompTree:
         self.n_vertices = 0
         self.affecting_insertions = 0
         self.total_insert_calls = 0
+        self._owed: list[tuple[int, int]] = []
 
     def _new_node(self, kind: str, parent: Optional[DecompNode], level: int) -> DecompNode:
         self._serial += 1
@@ -154,33 +160,37 @@ class DecompTree:
             raise SelfLoopError(f"self-loop at vertex {x}")
         if self._dsu.root_of(x - 1) != self._dsu.root_of(y - 1):
             self.affecting_insertions += 1
-        self._insert(x, y)
+        # edges still owed an insertion; merges push displaced edges here
+        owed = self._owed = [(x, y)]
+        while owed:
+            self._insert(*owed.pop())
 
     def _insert(self, x: int, y: int) -> None:
-        while True:
-            self.total_insert_calls += 1
-            leaf_x = self._leaf_of(x)
-            leaf_y = self._leaf_of(y)
-            if leaf_x is leaf_y:
-                return
-            nca, path_x, path_y = self._nca(leaf_x, leaf_y)
-            if nca.kind in (KIND_ROOT, KIND_3ECC):
-                self._insert_at_component(path_x, path_y, x, y)
-                return
-            if nca.kind == KIND_1ECC:
-                self._insert_at_1ecc(nca, path_x, path_y, x, y)
-                return
-            # nca is a 2-ecc node: compress the cycle-path on its cactus
-            c1, c2 = path_x[-1], path_y[-1]
-            q_nodes, q_payloads, z_real = self._cf.compress_cycle_path(
-                c1.cx_node, c2.cx_node
-            )
-            if len(q_nodes) == len(nca.children):
-                # the whole 2-ecc became 3-edge-connected
-                self._condense(nca, z_real)
-                return
-            self._merge3ecc(nca, [q.handle for q in q_nodes], q_payloads, z_real)
-            # repeat the insertion; it now lands strictly deeper
+        self.total_insert_calls += 1
+        leaf_x = self._leaf_of(x)
+        leaf_y = self._leaf_of(y)
+        if leaf_x is leaf_y:
+            return
+        nca, path_x, path_y = self._nca(leaf_x, leaf_y)
+        if nca.kind in (KIND_ROOT, KIND_3ECC):
+            self._insert_at_component(path_x, path_y, x, y)
+            return
+        if nca.kind == KIND_1ECC:
+            self._insert_at_1ecc(nca, path_x, path_y, x, y)
+            return
+        # nca is a 2-ecc node: compress the cycle-path on its cactus
+        c1, c2 = path_x[-1], path_y[-1]
+        q_nodes, q_payloads, z_real = self._cf.compress_cycle_path(
+            c1.cx_node, c2.cx_node
+        )
+        if len(q_nodes) == len(nca.children):
+            # the whole 2-ecc became 3-edge-connected
+            self._condense(nca, z_real)
+            return
+        # repeat the insertion after the displaced edges; it now lands
+        # strictly deeper
+        self._owed.append((x, y))
+        self._merge3ecc(nca, [q.handle for q in q_nodes], q_payloads, z_real)
 
     def _insert_at_component(self, path_x, path_y, x: int, y: int) -> None:
         """The new edge bridges two connected components: merge the 1-ecc
@@ -234,17 +244,18 @@ class DecompTree:
         )
 
     def _merge3ecc(self, parent2ecc, d_nodes, payloads, z_real) -> DecompNode:
-        """Merge 3-ecc siblings into one node and re-insert the cactus edges
-        that became internal to it. Former leaves get a fresh trivial chain
-        first, so the merged node's subtree decomposes them properly."""
+        """Merge 3-ecc siblings into one node and owe a re-insertion to the
+        cactus edges that became internal to it. Former leaves get a fresh
+        trivial chain first, so the merged node's subtree decomposes them
+        properly."""
         for d in d_nodes:
             if d.leaf:
                 self._expand_leaf(d)
         survivor = self._merge_siblings(d_nodes)
         z_real.handle = survivor
         survivor.cx_node = z_real
-        for (u, v) in payloads:
-            self._insert(u, v)
+        # stacked in reverse so they are re-inserted in payload order
+        self._owed.extend(reversed(payloads))
         return survivor
 
     def _expand_leaf(self, d: DecompNode) -> None:
@@ -313,41 +324,14 @@ class DecompTree:
     # -- tree navigation ------------------------------------------------------
 
     def _nca(self, leaf_x: DecompNode, leaf_y: DecompNode):
-        marked = [leaf_x, leaf_y]
-        leaf_x._mark = leaf_y._mark = True
-        a, b = leaf_x, leaf_y
-        meet = None
-        while meet is None:
-            advanced = False
-            if a.parent is not None:
-                advanced = True
-                if a.parent._mark:
-                    meet = a.parent
-                else:
-                    a = a.parent
-                    a._mark = True
-                    marked.append(a)
-            if meet is None and b.parent is not None:
-                advanced = True
-                if b.parent._mark:
-                    meet = b.parent
-                else:
-                    b = b.parent
-                    b._mark = True
-                    marked.append(b)
-            if not advanced:
-                for n in marked:
-                    n._mark = False
-                raise DecompError("leaves in disjoint trees")
-        for n in marked:
-            n._mark = False
-        path_x = [leaf_x]
-        while path_x[-1].parent is not meet:
-            path_x.append(path_x[-1].parent)
-        path_y = [leaf_y]
-        while path_y[-1].parent is not meet:
-            path_y.append(path_y[-1].parent)
-        return meet, path_x, path_y
+        """(nca, path from leaf_x, path from leaf_y); each path stops at a
+        child of the nca."""
+        paths = meet_paths(leaf_x, leaf_y, _parent)
+        if paths is None:
+            raise DecompError("leaves in disjoint trees")
+        path_x, path_y = paths
+        path_y.pop()
+        return path_x.pop(), path_x, path_y
 
     def _ancestor_at(self, v: int, level: int) -> DecompNode:
         node = self._leaf_of(v)

@@ -112,28 +112,22 @@ class SparsTree:
         self.last_recompute_nodes = count
         self._refresh_partition()
 
+    def _graph(self, records: list[Rec]) -> tuple[Multigraph, dict[int, Rec]]:
+        """An n-vertex multigraph of `records` and its edge id -> record map."""
+        h = Multigraph()
+        for _ in range(self.n):
+            h.add_vertex()
+        return h, {h.add_edge(rec[1], rec[2]): rec for rec in records}
+
     def _certify(self, records: list[Rec]) -> list[Rec]:
         if not records:
             return []
-        h = Multigraph()
-        for _ in range(self.n):
-            h.add_vertex()
-        back = {}
-        for rec in records:
-            back[h.add_edge(rec[1], rec[2])] = rec
+        h, back = self._graph(records)
         report = k_certificate(h, self.k)
         return [back[eid] for eid in sorted(report.certificate.edge_ids())]
 
-    def _graph_of(self, records: list[Rec]) -> Multigraph:
-        h = Multigraph()
-        for _ in range(self.n):
-            h.add_vertex()
-        for _eid, u, v in records:
-            h.add_edge(u, v)
-        return h
-
     def _refresh_partition(self) -> None:
-        self._partition = max_kec_subgraphs(self._graph_of(self._cert[1]), self.k)
+        self._partition = max_kec_subgraphs(self._graph(self._cert[1])[0], self.k)
 
     # -- updates ------------------------------------------------------------
 
@@ -188,9 +182,6 @@ class SparsTree:
 
     def partition(self) -> Partition:
         return self._partition
-
-    def root_certificate_edges(self) -> list[Rec]:
-        return list(self._cert[1])
 
     def live_edge_count(self) -> int:
         return sum(grp.live_count() for grp in self._groups)

@@ -9,7 +9,6 @@ the contraction-based static solver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from .graph import Multigraph, UnknownVertexError
@@ -204,13 +203,3 @@ def _pieces(S: set[int], items: list) -> list[tuple[set[int], list]]:
         out.append((piece, [it for it in items if it[1] in piece]))
     return out
 
-
-@dataclass
-class OracleResult:
-    lam: dict[tuple[int, int], float]
-    kecc: Partition
-    maximal: Partition
-
-
-def analyze(g: Multigraph, k: int) -> OracleResult:
-    return OracleResult(lambda_table(g), kecc_partition(g, k), maximal_kec_bruteforce(g, k))

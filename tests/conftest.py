@@ -1,8 +1,4 @@
-import sys
-
 import pytest
-
-sys.setrecursionlimit(200_000)
 
 
 @pytest.fixture

@@ -1,4 +1,7 @@
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 
 import pytest
@@ -88,6 +91,21 @@ def test_verify_agrees(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "5/5 trials agreed" in out
+
+def test_main_leaves_recursion_limit_alone(graph_file):
+    # a fresh interpreter, so no earlier call in this session can mask a change
+    script = (
+        "import sys\n"
+        "from eccforge.cli import main\n"
+        "before = sys.getrecursionlimit()\n"
+        f"assert main(['solve', {graph_file!r}, '-k', '3']) == 0\n"
+        "assert sys.getrecursionlimit() == before, sys.getrecursionlimit()\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
 
 def test_parse_error_exit_code(tmp_path):
     p = tmp_path / "broken.graph"

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -102,6 +103,36 @@ def test_staircase_sequence_all_trivial_with_growing_3ecc():
             assert frozenset(range(1, k)) in classes
     assert tree.affecting_insertions == len(seq)
     assert tree.affecting_insertions <= 3 * (n - 1)
+
+
+def _call_with_headroom(fn, headroom):
+    """Call fn with only about `headroom` frames left below the recursion
+    limit, by first descending that close to it."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+
+    def descend(levels):
+        return descend(levels - 1) if levels > 0 else fn()
+
+    return descend(sys.getrecursionlimit() - headroom - depth)
+
+
+def test_staircase_stack_does_not_grow_with_tree_depth():
+    # the staircase drives the tree to depth 3(n-1); re-insertions must not
+    # recurse per level, so a few dozen frames of headroom suffice
+    n = 64
+    tree, _ = replay([], n)
+
+    def insert_all():
+        for u, v in staircase_sequence(n):
+            tree.insert_edge(u, v)
+
+    _call_with_headroom(insert_all, 40)
+    assert tree.partition() == [{v} for v in range(1, n + 1)]
+    assert tree.total_insert_calls == n * (n - 1)
+    assert tree.affecting_insertions == 2 * (n - 1)
 
 
 def test_affecting_bound_random_sequences():
