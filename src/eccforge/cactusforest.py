@@ -12,8 +12,16 @@ Non-parent members keep a bidirectional link with their entry.
 
 Real nodes merge through a union-find layer, so stored real-node references
 must be resolved through `representative` before use. Cycle nodes never
-merge; they are discarded when a 2-entry list collapses, or split when a
-squeeze detaches a segment into a fresh cycle.
+merge.
+
+Both public merges run one squeeze, `_squeeze(u, v, ve, cyc)`: a child member
+u of cyc merges into v, whose entry on cyc is ve (v's member entry when v is a
+sibling, cyc.parent_entry when v is the cycle's parent). When u's entry
+neighbours ve, the entry is unlinked and its shared edge returned; a 2-entry
+list dissolves. Otherwise the cycle splits: the shorter arc strictly between
+the two entries, closed by a fresh entry for v, becomes a new cycle, and the
+rest of the list keeps ve. Only the arc's members change cycle, so a split
+costs O(shorter arc).
 """
 
 from __future__ import annotations
@@ -172,11 +180,12 @@ class CactusForest:
             for i in range(0, stop - 1, 2):
                 child = self.representative(part[i])
                 anc = self.representative(part[i + 2])
-                payloads.extend(self._squeeze_anc_desc(child, anc, part[i + 1]))
+                cyc = part[i + 1]
+                payloads.extend(self._squeeze(child, anc, cyc.parent_entry, cyc))
         if isinstance(meet, CycleNode):
             u = self.representative(up_x[-2])
             v = self.representative(up_y[-2])
-            payloads.extend(self._squeeze_siblings(u, v, meet))
+            payloads.extend(self._squeeze(u, v, v.entry, meet))
 
         merged = self.representative(x)
         assert merged is self.representative(y)
@@ -199,12 +208,12 @@ class CactusForest:
         u_child = u.parent is cyc
         v_child = v.parent is cyc
         if u_child and v_child:
-            return self._squeeze_siblings(u, v, cyc)
+            return self._squeeze(u, v, v.entry, cyc)
         pr = self.cycle_parent(cyc)
         if u_child and pr is v:
-            return self._squeeze_anc_desc(u, v, cyc)
+            return self._squeeze(u, v, cyc.parent_entry, cyc)
         if v_child and pr is u:
-            return self._squeeze_anc_desc(v, u, cyc)
+            return self._squeeze(v, u, cyc.parent_entry, cyc)
         raise NotOnCycleError("nodes are not both members of the cycle")
 
     def join_cactuses(self, xs: list[RealNode], payloads: list[Any]) -> None:
@@ -258,64 +267,32 @@ class CactusForest:
     def _merge(self, dead: RealNode, live: RealNode) -> None:
         self._dsu.unite(dead.item, live.item, live)
 
-    def _squeeze_anc_desc(self, child: RealNode, anc: RealNode, cyc: CycleNode) -> list[Any]:
-        ue = child.entry
-        pe = cyc.parent_entry
-        if ue.left is pe and ue.right is pe:
-            # child was the only other member; the 2-cycle dissolves
+    def _squeeze(self, u: RealNode, v: RealNode, ve: ListEntry, cyc: CycleNode) -> list[Any]:
+        """Merge child member u of cyc into v, whose entry on cyc is ve.
+
+        ve is v.entry when v is a sibling of u, cyc.parent_entry when v is the
+        cycle's parent. Returns the payloads of the direct u-v cycle edges.
+        """
+        ue = u.entry
+        if ue.left is ve and ue.right is ve:
+            # u was the only other member; the 2-entry list dissolves
             out = [ue.left_edge, ue.right_edge]
             self._cycles.discard(cyc)
-            self._merge(child, anc)
-            return out
-        if ue.left is pe:
-            out = [ue.left_edge]
-            ue.right.left = pe
-            pe.right = ue.right
-            pe.right_edge = ue.right_edge
-            self._merge(child, anc)
-            return out
-        if ue.right is pe:
-            out = [ue.right_edge]
-            ue.left.right = pe
-            pe.left = ue.left
-            pe.left_edge = ue.left_edge
-            self._merge(child, anc)
-            return out
-        # no direct edge: detach the shorter internal arc into a new cycle
-        z_at_v, seg = self._shorter_arc(ue, pe, cyc.origin)
-        new_cyc = self._split_segment(ue, pe, anc, z_at_v, seg, cyc.origin)
-        new_cyc.parent = anc
-        self._merge(child, anc)
-        return []
-
-    def _squeeze_siblings(self, u: RealNode, v: RealNode, cyc: CycleNode) -> list[Any]:
-        ue, ve = u.entry, v.entry
-        if ue.left is ve:
+        elif ue.left is ve:
             out = [ue.left_edge]
             ue.right.left = ve
             ve.right = ue.right
             ve.right_edge = ue.right_edge
-            self._merge(u, v)
-            return out
-        if ue.right is ve:
+        elif ue.right is ve:
             out = [ue.right_edge]
             ue.left.right = ve
             ve.left = ue.left
             ve.left_edge = ue.left_edge
-            self._merge(u, v)
-            return out
-        z_at_v, seg = self._shorter_arc(ue, ve, cyc.origin)
-        pe = cyc.parent_entry
-        if pe not in seg:
-            new_cyc = self._split_segment(ue, ve, v, z_at_v, seg, cyc.origin)
-            new_cyc.parent = v
         else:
-            # the old parent entry falls inside the detached segment: that
-            # segment keeps the parent entry and v's own entry, while the
-            # remaining arc gets a fresh entry for v as its parent entry
-            self._split_segment_with_parent(ue, ve, u, v, cyc, z_at_v, seg)
+            self._split(ue, v, ve, cyc)
+            out = []
         self._merge(u, v)
-        return []
+        return out
 
     def _shorter_arc(
         self, ue: ListEntry, ve: ListEntry, origin: OriginCycle
@@ -356,103 +333,54 @@ class CactusForest:
         origin.walk_touches += touches
         return (z is ve, seen_a) if z is ve else (False, seen_b)
 
-    def _split_segment(
-        self,
-        ue: ListEntry,
-        ve: ListEntry,
-        survivor: RealNode,
-        z_at_v: bool,
-        seg: list[ListEntry],
-        origin: OriginCycle,
-    ) -> CycleNode:
-        """Detach `seg` plus a fresh entry for the survivor into a new cycle.
+    def _split(self, ue: ListEntry, v: RealNode, ve: ListEntry, cyc: CycleNode) -> None:
+        """Split cyc between the non-adjacent entries ue and ve.
 
-        Handles the common mechanics of the ancestor/descendant split and the
-        sibling split whose segment misses the parent entry. The caller sets
-        the new cycle's parent real node. ue is discarded from the old list.
+        The shorter arc between them plus a fresh entry for v becomes a new
+        cycle; the rest of the list keeps ve and drops ue. The fresh entry
+        goes on the arc's ring because only the arc's members are re-parented,
+        which keeps the work O(shorter arc).
         """
+        z_at_v, arc = self._shorter_arc(ue, ve, cyc.origin)
         self._serial += 1
-        new_cyc = CycleNode(self._serial, origin)
+        new_cyc = CycleNode(self._serial, cyc.origin)
         self._cycles.add(new_cyc)
-        nve = ListEntry(survivor)
+        nve = ListEntry(v)
+        first, last = arc[0], arc[-1]
+        nve.left = first
+        first.right = nve
+        nve.right = last
+        last.left = nve
         if z_at_v:
-            # seg = [ue.left .. ve.right]
-            first, last = seg[0], seg[-1]
-            nve.right = last
-            last.left = nve
-            nve.left = first
-            first.right = nve
-            nve.right_edge = ve.right_edge
+            # arc = [ue.left .. ve.right]
             nve.left_edge = ue.left_edge
+            nve.right_edge = ve.right_edge
             ue.right.left = ve
             ve.right = ue.right
             ve.right_edge = ue.right_edge
         else:
-            # seg = [ve.left .. ue.right]
-            first, last = seg[0], seg[-1]
-            nve.left = first
-            first.right = nve
-            nve.right = last
-            last.left = nve
+            # arc = [ve.left .. ue.right]
             nve.left_edge = ve.left_edge
             nve.right_edge = ue.right_edge
             ue.left.right = ve
             ve.left = ue.left
             ve.left_edge = ue.left_edge
-        for e in seg:
-            r = self.representative(e.real)
-            r.parent = new_cyc
-        new_cyc.parent_entry = nve
-        return new_cyc
-
-    def _split_segment_with_parent(
-        self,
-        ue: ListEntry,
-        ve: ListEntry,
-        u: RealNode,
-        v: RealNode,
-        cyc: CycleNode,
-        z_at_v: bool,
-        seg: list[ListEntry],
-    ) -> None:
         pe = cyc.parent_entry
-        self._serial += 1
-        new_cyc = CycleNode(self._serial, cyc.origin)
-        self._cycles.add(new_cyc)
-        nve = ListEntry(v)
-        if z_at_v:
-            # seg = [ue.left .. ve.right]; remaining arc = [ue.right .. ve.left]
-            old_left, old_left_edge = ve.left, ve.left_edge
-            ve.left = ue.left
-            ue.left.right = ve
-            ve.left_edge = ue.left_edge
-            nve.right = ue.right
-            ue.right.left = nve
-            nve.right_edge = ue.right_edge
-            nve.left = old_left
-            old_left.right = nve
-            nve.left_edge = old_left_edge
-        else:
-            # seg = [ve.left .. ue.right]; remaining arc = [ve.right .. ue.left]
-            old_right, old_right_edge = ve.right, ve.right_edge
-            ve.right = ue.right
-            ue.right.left = ve
-            ve.right_edge = ue.right_edge
-            nve.left = ue.left
-            ue.left.right = nve
-            nve.left_edge = ue.left_edge
-            nve.right = old_right
-            old_right.left = nve
-            nve.right_edge = old_right_edge
-        for e in seg:
+        for e in arc:
             if e is not pe:
-                r = self.representative(e.real)
-                r.parent = new_cyc
-        v.parent = new_cyc
-        new_cyc.parent_entry = pe
-        new_cyc.parent = self.representative(pe.real)
-        cyc.parent_entry = nve
-        cyc.parent = v
+                self.representative(e.real).parent = new_cyc
+        if pe in arc:
+            # the arc takes cyc's parent; v joins it through the fresh entry
+            # and cyc hangs from v through ve
+            new_cyc.parent_entry = pe
+            new_cyc.parent = cyc.parent
+            v.parent = new_cyc
+            v.entry = nve
+            cyc.parent_entry = ve
+            cyc.parent = v
+        else:
+            new_cyc.parent_entry = nve
+            new_cyc.parent = v
 
     # -- rerooting -----------------------------------------------------------
 

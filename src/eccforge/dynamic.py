@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .certificates import k_certificate
-from .graph import Multigraph, UnknownEdgeError, UnknownVertexError
+from .graph import Multigraph, SelfLoopError, UnknownEdgeError, UnknownVertexError
 from .solver import Partition, max_kec_subgraphs
 
 Rec = tuple[int, int, int]  # (edge id, u, v)
@@ -134,6 +134,8 @@ class SparsTree:
     def insert(self, u: int, v: int) -> None:
         self._check_vertex(u)
         self._check_vertex(v)
+        if u == v:
+            raise SelfLoopError(f"self-loop at vertex {u}")
         rec = (self._next_eid, u, v)
         self._next_eid += 1
         self.last_update_grew = False

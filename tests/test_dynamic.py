@@ -4,7 +4,7 @@ import pytest
 
 from eccforge import Multigraph, SparsTree, max_kec_subgraphs
 from eccforge.gen import random_dynamic_stream
-from eccforge.graph import UnknownEdgeError, UnknownVertexError
+from eccforge.graph import SelfLoopError, UnknownEdgeError, UnknownVertexError
 
 
 def k4_pair():
@@ -80,6 +80,24 @@ def test_errors():
         st.delete(1, 5)
     with pytest.raises(UnknownVertexError):
         st.max_k_edge(0, 1)
+
+
+def test_rejected_self_loop_leaves_tree_intact():
+    g = Multigraph()
+    for _ in range(4):
+        g.add_vertex()
+    for u, v in [(1, 2), (2, 3), (3, 4)]:
+        g.add_edge(u, v)
+    st = SparsTree(g.copy(), 3)
+    with pytest.raises(SelfLoopError):
+        st.insert(2, 2)
+    assert st.live_edge_count() == 3
+    st.insert(1, 4)
+    g.add_edge(1, 4)
+    st.delete(1, 2)
+    g.remove_edge(g.edges_between(1, 2)[0])
+    assert st.live_edge_count() == g.m
+    assert st.partition() == max_kec_subgraphs(g, 3)
 
 
 def test_path_local_recomputation():
