@@ -1,18 +1,20 @@
 """Forest decompositions and sparse certificates that preserve the maximal
 k-edge-connected subgraphs.
 
-A forest decomposition peels successive spanning forests off the graph. The
-union of the first ceil(4*k*log2(n)) forests is guaranteed to contain every
-edge whose endpoints lie in different maximal k-edge-connected subgraphs;
-that superset plus a k-forest decomposition of the rest is a k-certificate.
+One scan-first search (Nagamochi and Ibaraki, Algorithmica 1992) numbers
+every edge with its forest: F_i, the edges numbered i, is a maximal spanning
+forest of the graph minus F_1..F_{i-1}. The union E' of F_1..F_t, with
+t = ceil(4*k*log2(n)), contains every edge whose endpoints lie in different
+maximal k-edge-connected subgraphs; F_{t+1}..F_{t+k} are then a k-forest
+decomposition of the rest, so F_1..F_{t+k} together are a k-certificate.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
-from .dsu import DsuForest
 from .graph import Multigraph
 
 
@@ -32,31 +34,34 @@ class CertificateReport:
 
 
 def forest_decomposition(g: Multigraph, t: int) -> ForestDecomposition:
-    """Peel t spanning forests: F_i spans g minus F_1..F_{i-1}.
+    """The first t forests of one scan-first search: F_i spans g minus
+    F_1..F_{i-1}.
 
-    Edges are considered in adjacency-list order for deterministic output.
+    The search scans, next, the unscanned vertex with the most edges to
+    scanned ones, the smaller id on ties, so the output is deterministic.
+    Scanning x numbers each edge to an unscanned y with y's new count; F_i is
+    the set of edges numbered i, and edges numbered above t are in no forest.
     """
     if t < 1:
         raise ValueError("need at least one forest")
-    remaining = set(g.edge_ids())
-    forests: list[set[int]] = []
-    for _ in range(t):
-        if not remaining:
-            forests.append(set())
-            continue
-        uf = DsuForest()
-        item = {v: uf.make_set(v) for v in g.vertex_ids()}
-        forest: set[int] = set()
-        for v in g.vertex_ids():
-            for eid in g.incident(v):
-                if eid not in remaining or eid in forest:
-                    continue
-                a, b = g.endpoints(eid)
-                if uf.root_of(item[a]) != uf.root_of(item[b]):
-                    uf.unite(item[a], item[b], None)
-                    forest.add(eid)
-        forests.append(forest)
-        remaining -= forest
+    forests: list[set[int]] = [set() for _ in range(t)]
+    count = [0] * (g.n + 1)
+    scanned = [False] * (g.n + 1)
+    heap = [(0, v) for v in g.vertex_ids()]  # ascending, so already a heap
+    while heap:
+        neg, x = heapq.heappop(heap)
+        if scanned[x] or -neg != count[x]:
+            continue  # a stale entry: x was scanned or its count has grown
+        scanned[x] = True
+        for eid in g.incident(x):
+            a, b = g.endpoints(eid)
+            y = b if a == x else a
+            if scanned[y]:
+                continue
+            count[y] += 1
+            if count[y] <= t:
+                forests[count[y] - 1].add(eid)
+            heapq.heappush(heap, (-count[y], y))
     return ForestDecomposition(forests, g, t)
 
 
@@ -72,34 +77,27 @@ def interconnection_superset(g: Multigraph, k: int) -> set[int]:
     the union of the first ceil(4*k*log2(n)) forests of a decomposition."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    if g.n == 0:
-        return set()
-    t = superset_forest_count(g.n, k)
-    fd = forest_decomposition(g, t)
-    out: set[int] = set()
-    for f in fd.forests:
-        out |= f
-    return out
+    fd = forest_decomposition(g, superset_forest_count(g.n, k))
+    return set().union(*fd.forests)
 
 
 def k_certificate(g: Multigraph, k: int) -> CertificateReport:
     """A spanning subgraph with the same maximal k-edge-connected subgraphs.
 
-    Construction: all k-interconnection edges are kept via the forest-count
-    superset E', and the remainder is thinned to a k-forest decomposition.
+    Construction: one decomposition into t + k forests, t the forest count
+    of the superset. E' is F_1..F_t, which keeps every k-interconnection
+    edge; the certificate is F_1..F_{t+k}, E' plus a k-forest decomposition
+    of g minus E'.
     """
     if k < 3:
         raise ValueError("k must be >= 3")
-    eprime = interconnection_superset(g, k)
-    rest = g.subgraph_with_edges(set(g.edge_ids()) - eprime)
-    fd = forest_decomposition(rest, k)
-    cert_edges = set(eprime)
-    for f in fd.forests:
-        cert_edges |= f
-    cert = g.subgraph_with_edges(cert_edges)
+    t = superset_forest_count(g.n, k)
+    forests = forest_decomposition(g, t + k).forests
+    eprime = set().union(*forests[:t])
+    cert = g.subgraph_with_edges(set().union(*forests))
     return CertificateReport(
         certificate=cert,
         eprime=eprime,
-        forests_used=superset_forest_count(g.n, k),
+        forests_used=t,
         sizes=(len(eprime), cert.m),
     )

@@ -9,8 +9,6 @@ same-subgraph queries in constant time.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .certificates import k_certificate
 from .graph import Multigraph, SelfLoopError, UnknownEdgeError, UnknownVertexError
 from .solver import Partition, max_kec_subgraphs
@@ -139,27 +137,25 @@ class SparsTree:
         rec = (self._next_eid, u, v)
         self._next_eid += 1
         self.last_update_grew = False
-        target: Optional[int] = None
-        for gi, grp in enumerate(self._groups):
-            if len(grp.records) < self.capacity:
-                target = gi
-                break
-        if target is None:
-            self._groups.extend(_Group() for _ in range(self._slots))
-            self._slots *= 2
-            target = next(
+        target = next(
+            (
                 gi
                 for gi, grp in enumerate(self._groups)
                 if len(grp.records) < self.capacity
-            )
-            self._groups[target].records.append(rec)
-            self._locate_add(rec, target)
+            ),
+            None,
+        )
+        if target is None:  # every group is full: the first new one is empty
+            target = len(self._groups)
+            self._groups.extend(_Group() for _ in range(self._slots))
+            self._slots *= 2
             self.last_update_grew = True
-            self._rebuild_all()
-            return
         self._groups[target].records.append(rec)
         self._locate_add(rec, target)
-        self._recompute_path(target)
+        if self.last_update_grew:
+            self._rebuild_all()
+        else:
+            self._recompute_path(target)
 
     def delete(self, u: int, v: int) -> None:
         self._check_vertex(u)

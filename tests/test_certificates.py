@@ -145,3 +145,50 @@ def test_forest_count_formula():
     assert superset_forest_count(2, 3) == 12
     assert superset_forest_count(16, 3) == math.ceil(4 * 3 * 4)
     assert superset_forest_count(40, 5) == math.ceil(20 * math.log2(40))
+
+
+def random_multigraph_with_removals(rng, n, m):
+    g = random_multigraph(rng, n, m)
+    for eid in list(g.edge_ids()):
+        if rng.random() < 0.2:
+            g.remove_edge(eid)
+    return g
+
+
+def test_multigraph_decompositions():
+    g = Multigraph()
+    for _ in range(2):
+        g.add_vertex()
+    for _ in range(5):
+        g.add_edge(1, 2)
+    fd = forest_decomposition(g, 7)
+    assert [len(f) for f in fd.forests] == [1, 1, 1, 1, 1, 0, 0]
+    check_decomposition(g, fd)
+    rng = random.Random(515)
+    for trial in range(60):
+        n = rng.randint(2, 12)
+        make = random_multigraph_with_removals if trial % 2 else random_multigraph
+        g = make(rng, n, rng.randint(0, 12 * n))
+        t = rng.randint(1, 40)
+        fd = forest_decomposition(g, t)
+        assert len(fd.forests) == t
+        check_decomposition(g, fd)
+
+
+def test_certificate_is_one_decomposition():
+    """E' is F_1..F_t and the certificate F_1..F_{t+k} of one decomposition."""
+    rng = random.Random(909)
+    thinned = 0
+    for trial in range(30):
+        n = rng.randint(2, 10)
+        make = random_multigraph_with_removals if trial % 2 else random_multigraph
+        g = make(rng, n, rng.randint(n, 30 * n))
+        for k in (3, 4, 5):
+            t = superset_forest_count(g.n, k)
+            forests = forest_decomposition(g, t + k).forests
+            rep = k_certificate(g, k)
+            assert rep.eprime == set().union(*forests[:t])
+            assert set(rep.certificate.edge_ids()) == set().union(*forests)
+            assert rep.forests_used == t
+            thinned += rep.certificate.m < g.m
+    assert thinned > 0
