@@ -97,9 +97,36 @@ def cmd_dynamic(args) -> int:
     return 0
 
 
+def _dynamic_agrees(stream: list[tuple], n: int, k: int) -> bool:
+    """Replay `stream` into a SparsTree on n vertices: after every update its
+    partition, and at every query its answer, must match the oracle's."""
+    cur = Multigraph()
+    for _ in range(n):
+        cur.add_vertex()
+    spars = SparsTree(cur, k)
+    want = oracle.maximal_kec_bruteforce(cur, k)
+    for op in stream:
+        if op[0] == "av":
+            continue
+        if op[0] == "q":
+            if spars.max_k_edge(op[1], op[2]) != want.same(op[1], op[2]):
+                return False
+            continue
+        if op[0] == "ae":
+            cur.add_edge(op[1], op[2])
+            spars.insert(op[1], op[2])
+        else:
+            cur.remove_edge(cur.edges_between(op[1], op[2])[0])
+            spars.delete(op[1], op[2])
+        want = oracle.maximal_kec_bruteforce(cur, k)
+        if spars.partition() != want:
+            return False
+    return True
+
+
 def cmd_verify(args) -> int:
     rng = random.Random(args.seed)
-    failures = 0
+    failed: set[int] = set()  # trials with any disagreement
     for trial in range(args.trials):
         n = rng.randint(3, max(3, args.nmax))
         edges = rng.randint(n, 3 * n)
@@ -129,42 +156,25 @@ def cmd_verify(args) -> int:
         want = oracle.maximal_kec_bruteforce(g, 3)
         got = set(map(frozenset, tree.partition()))
         if got != want.as_sets():
-            failures += 1
+            failed.add(trial)
             print(f"trial {trial}: incremental engine disagrees with oracle")
             continue
         for k in args.k:
             want_k = oracle.maximal_kec_bruteforce(g, k)
             if max_kec_subgraphs(g, k) != want_k:
-                failures += 1
+                failed.add(trial)
                 print(f"trial {trial}: static solver disagrees at k={k}")
             elif max_kec_subgraphs(g, k, use_certificate=True) != want_k:
-                failures += 1
+                failed.add(trial)
                 print(f"trial {trial}: certified solve disagrees at k={k}")
         stream = gen.random_dynamic_stream(rng, n, edges, seed_edges=n)
-        cur = Multigraph()
-        for _ in range(n):
-            cur.add_vertex()
-        spars = SparsTree(cur, args.k[0])
-        for op in stream:
-            if op[0] == "av":
-                continue
-            if op[0] == "ae":
-                cur.add_edge(op[1], op[2])
-                spars.insert(op[1], op[2])
-            elif op[0] == "de":
-                eid = cur.edges_between(op[1], op[2])[0]
-                cur.remove_edge(eid)
-                spars.delete(op[1], op[2])
-            else:
-                got_q = spars.max_k_edge(op[1], op[2])
-                want_q = max_kec_subgraphs(cur, args.k[0]).same(op[1], op[2])
-                if got_q != want_q:
-                    failures += 1
-                    print(f"trial {trial}: dynamic query disagrees")
-                    break
+        for k in args.k:
+            if not _dynamic_agrees(stream, n, k):
+                failed.add(trial)
+                print(f"trial {trial}: dynamic engine disagrees with oracle at k={k}")
     total = args.trials
-    print(f"verify: {total - failures}/{total} trials agreed (seed={args.seed})")
-    return 0 if failures == 0 else 1
+    print(f"verify: {total - len(failed)}/{total} trials agreed (seed={args.seed})")
+    return 0 if not failed else 1
 
 
 def cmd_bench(args) -> int:

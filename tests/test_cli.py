@@ -138,3 +138,21 @@ def test_bench_runs(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "staircase" in out and "random" in out
+
+
+def test_verify_checks_dynamic_partitions(monkeypatch, capsys):
+    import eccforge.cli
+    from eccforge import SparsTree
+
+    class NeverMerges(SparsTree):
+        def _merge_classes(self, u, v):
+            pass  # misses every class that an insert joins
+
+    monkeypatch.setattr(eccforge.cli, "SparsTree", NeverMerges)
+    args = ["verify", "--seed", "1", "--nmax", "10", "--trials", "6", "-k", "3", "-k", "4"]
+    code = main(args)
+    lines = capsys.readouterr().out.splitlines()
+    failing = [line.split(":")[0] for line in lines if line.startswith("trial ")]
+    assert code == 1
+    assert len(failing) > len(set(failing))  # some trial fails at both k
+    assert lines[-1] == f"verify: {6 - len(set(failing))}/6 trials agreed (seed=1)"

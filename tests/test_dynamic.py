@@ -1,8 +1,10 @@
+import itertools
 import random
 
 import pytest
 
-from eccforge import Multigraph, SparsTree, max_kec_subgraphs
+from eccforge import Multigraph, SparsTree, max_kec_subgraphs, maximal_kec_bruteforce
+from eccforge.certificates import superset_forest_count
 from eccforge.gen import random_dynamic_stream
 from eccforge.graph import SelfLoopError, UnknownEdgeError, UnknownVertexError
 
@@ -16,6 +18,15 @@ def k4_pair():
         for i in range(4):
             for j in range(i + 1, 4):
                 g.add_edge(vs[i], vs[j])
+    return g
+
+
+def _graph_of(n, edges):
+    g = Multigraph()
+    for _ in range(n):
+        g.add_vertex()
+    for u, v in edges:
+        g.add_edge(u, v)
     return g
 
 
@@ -122,6 +133,79 @@ def test_path_local_recomputation():
     assert st.last_recompute_nodes == height
 
 
+@pytest.fixture
+def solve_sizes(monkeypatch):
+    """The vertex count of every graph SparsTree hands the static solver."""
+    import eccforge.dynamic
+
+    sizes = []
+    real = eccforge.dynamic.max_kec_subgraphs
+
+    def spy(g, k):
+        sizes.append(g.n)
+        return real(g, k)
+
+    monkeypatch.setattr(eccforge.dynamic, "max_kec_subgraphs", spy)
+    return sizes
+
+
+def test_insert_inside_class_costs_nothing(solve_sizes):
+    st = SparsTree(k4_pair(), 3)
+    assert (st.full_solves, st.flow_checks, solve_sizes) == (1, 0, [8])
+    st.insert(1, 2)
+    st.insert(6, 8)
+    assert (st.full_solves, st.flow_checks, solve_sizes) == (1, 0, [8])
+
+
+def test_delete_inside_k5_is_one_flow_check(solve_sizes):
+    st = SparsTree(_graph_of(5, itertools.combinations(range(1, 6), 2)), 3)
+    st.delete(1, 2)
+    assert (st.full_solves, st.flow_checks, solve_sizes) == (1, 1, [5])
+    assert st.partition().as_sets() == {frozenset(range(1, 6))}
+
+
+def test_delete_splits_only_its_class(solve_sizes):
+    st = SparsTree(k4_pair(), 3)
+    st.delete(1, 2)
+    assert (st.full_solves, st.flow_checks, solve_sizes) == (1, 1, [8, 4])
+    assert st.partition().as_sets() == {
+        frozenset({1}),
+        frozenset({2}),
+        frozenset({3}),
+        frozenset({4}),
+        frozenset({5, 6, 7, 8}),
+    }
+    st.delete(3, 4)  # between two classes now: no check, no solve
+    assert (st.full_solves, st.flow_checks, solve_sizes) == (1, 1, [8, 4])
+
+
+def test_three_links_merge_two_classes(solve_sizes):
+    st = SparsTree(k4_pair(), 3)
+    for u, v in [(1, 5), (2, 6), (3, 7)]:
+        assert not st.max_k_edge(1, 8)
+        st.insert(u, v)
+    assert st.partition().as_sets() == {frozenset(range(1, 9))}
+    # one build, then one solve of the two-class quotient per link
+    assert (st.full_solves, st.flow_checks, solve_sizes) == (1, 0, [8, 2, 2, 2])
+
+
+def test_identity_certificates_until_a_vertex_outgrows_t_plus_k():
+    g = Multigraph()
+    for _ in range(2):
+        g.add_vertex()
+    st = SparsTree(g, 3)
+    built = st.identity_certificates
+    t = superset_forest_count(2, 3)
+    for _ in range(t + 3):
+        st.insert(1, 2)
+    assert st.identity_certificates == built + t + 3
+    assert len(st._cert[1]) == t + 3
+    st.insert(1, 2)  # degree t + k + 1: the leaf drops the extra edge
+    assert st.identity_certificates == built + t + 3
+    assert len(st._cert[1]) == t + 3
+    assert st.live_edge_count() == t + 4
+
+
 def test_random_stream_matches_static_solver():
     rng = random.Random(123)
     for _ in range(6):
@@ -149,3 +233,38 @@ def test_random_stream_matches_static_solver():
             # full graph's partition
             assert st.partition() == max_kec_subgraphs(cur, 3)
         assert st.live_edge_count() == cur.m
+
+
+def _pair(rng, n):
+    u, v = rng.sample(range(1, n + 1), 2)
+    return u, v
+
+
+def test_scoped_updates_match_oracle():
+    rng = random.Random(0x5C0DE)
+    thinned = 0
+    for k in (3, 4, 5):
+        for _ in range(20):
+            n = rng.randint(2, 10)
+            # sparse streams split and merge classes; dense ones (up to 25n
+            # edges) give a root certificate that drops edges
+            dense = rng.random() < 0.4
+            m = rng.randint(15 * n, 25 * n) if dense else rng.randint(n, 3 * n)
+            live = [_pair(rng, n) for _ in range(m)]
+            g = _graph_of(n, live)
+            st = SparsTree(g.copy(), k)
+            assert st.partition() == maximal_kec_bruteforce(g, k)
+            for _ in range(40):
+                if live and rng.random() < 0.5:
+                    u, v = live.pop(rng.randrange(len(live)))
+                    st.delete(u, v)
+                    g.remove_edge(g.edges_between(u, v)[0])
+                else:
+                    u, v = _pair(rng, n)
+                    live.append((u, v))
+                    st.insert(u, v)
+                    g.add_edge(u, v)
+                thinned += len(st._cert[1]) < g.m
+                assert st.partition() == maximal_kec_bruteforce(g, k), (k, n, u, v)
+            assert st.live_edge_count() == g.m
+    assert thinned > 0
