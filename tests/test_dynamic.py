@@ -1,12 +1,15 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from eccforge import Multigraph, SparsTree, max_kec_subgraphs, maximal_kec_bruteforce
 from eccforge.certificates import superset_forest_count
+from eccforge.dynamic import _has_k_paths
 from eccforge.gen import random_dynamic_stream
 from eccforge.graph import SelfLoopError, UnknownEdgeError, UnknownVertexError
+from eccforge.oracle import edge_connectivity
 
 
 def k4_pair():
@@ -268,3 +271,116 @@ def test_scoped_updates_match_oracle():
                 assert st.partition() == maximal_kec_bruteforce(g, k), (k, n, u, v)
             assert st.live_edge_count() == g.m
     assert thinned > 0
+
+
+def _snapshot(st):
+    return (
+        st.partition().as_sets(),
+        st.live_edge_count(),
+        list(st._cert[1]),
+        {key: list(slots) for key, slots in st._locator.items()},
+        (st.rebuilds, st.full_solves, st.flow_checks, st.identity_certificates),
+    )
+
+
+def test_delete_forgets_a_pair_with_no_copies_left():
+    st = SparsTree(k4_pair(), 3)
+    st.insert(1, 5)
+    st.delete(1, 5)
+    assert (1, 5) not in st._locator
+    before = _snapshot(st)
+    with pytest.raises(UnknownEdgeError):
+        st.delete(1, 5)
+    assert _snapshot(st) == before
+
+
+def _adjacency(n, edges):
+    adj = {x: {} for x in range(1, n + 1)}
+    for a, b in edges:
+        adj[a][b] = adj[a].get(b, 0) + 1
+        adj[b][a] = adj[b].get(a, 0) + 1
+    return adj
+
+
+def test_has_k_paths_matches_flow_oracle_on_the_class():
+    rng = random.Random(0xF1)
+    answers = Counter()
+    for _ in range(400):
+        n = rng.randint(2, 9)
+        k = rng.choice((3, 4, 5))
+        # few vertex pairs, many edges: parallel edges are common
+        edges = [_pair(rng, n) for _ in range(rng.randint(0, 5 * n))]
+        class_of = {x: rng.randrange(2) for x in range(1, n + 1)}
+        c = rng.randrange(2)
+        members = [x for x in class_of if class_of[x] == c]
+        if len(members) < 2:
+            continue
+        s, t = rng.sample(members, 2)
+        g = _graph_of(n, edges)
+        inside = [
+            e for e in g.edge_ids() if all(class_of[x] == c for x in g.endpoints(e))
+        ]
+        want = edge_connectivity(g.subgraph_with_edges(inside), s, t) >= k
+        got = _has_k_paths(_adjacency(n, edges), class_of, c, s, t, k)
+        assert got == want, (n, k, edges, class_of, s, t)
+        answers[got] += 1
+    assert answers[True] > 20 and answers[False] > 20
+
+
+def test_has_k_paths_ignores_a_path_that_leaves_the_class():
+    # two parallel 1-2 edges inside the class; the third path runs through 3
+    adj = _adjacency(3, [(1, 2), (1, 2), (1, 3), (3, 2)])
+    assert _has_k_paths(adj, {1: 0, 2: 0, 3: 0}, 0, 1, 2, 3)
+    assert not _has_k_paths(adj, {1: 0, 2: 0, 3: 1}, 0, 1, 2, 3)
+
+
+def _check_tree(st):
+    """The root adjacency holds the root certificate's edges, and every
+    node's bound and touch count bracket its certificate's max degree and
+    vertex count."""
+    want = Counter()
+    for _eid, a, b in st._cert[1]:
+        want[a, b] += 1
+        want[b, a] += 1
+    got = Counter({(x, y): m for x, row in st._adj.items() for y, m in row.items()})
+    assert got == want
+    for node in range(1, 2 * st._slots):
+        degree = Counter(x for _eid, a, b in st._cert[node] for x in (a, b))
+        assert st._bound[node] >= max(degree.values(), default=0), node
+        assert st._touch[node] <= len(degree), node
+
+
+def test_root_adjacency_and_degree_bounds_follow_every_update(monkeypatch):
+    relinks = []
+    real = SparsTree._relink
+
+    def spy(self, old_root):
+        relinks.append(len(old_root))
+        real(self, old_root)
+
+    monkeypatch.setattr(SparsTree, "_relink", spy)
+    rng = random.Random(0xAD1)
+    shifted = relinked = 0
+    for k in (3, 4, 5):
+        for _ in range(12):
+            n = rng.randint(2, 10)
+            # dense streams (up to 25n edges) thin their certificates, so the
+            # root adjacency must follow a set difference, not the one edge
+            dense = rng.random() < 0.5
+            m = rng.randint(15 * n, 25 * n) if dense else rng.randint(n, 3 * n)
+            live = [_pair(rng, n) for _ in range(m)]
+            st = SparsTree(_graph_of(n, live), k)
+            _check_tree(st)
+            for _ in range(40):
+                before = len(relinks)
+                if live and rng.random() < 0.5:
+                    st.delete(*live.pop(rng.randrange(len(live))))
+                else:
+                    live.append(_pair(rng, n))
+                    st.insert(*live[-1])
+                if not st.last_update_grew:
+                    relinked += len(relinks) > before
+                    shifted += len(relinks) == before
+                _check_tree(st)
+            assert st.live_edge_count() == len(live)
+    assert shifted > 0 and relinked > 0
