@@ -1,14 +1,22 @@
 """Static maximal k-edge-connected subgraphs by repeated small-cut removal.
 
-Minimum cuts come from Stoer-Wagner maximum-adjacency contraction phases over
-a parallel-edge-collapsed weight matrix; any cut of value < k is removed and
-the connected remainders are re-examined until every piece is k-edge-connected.
+The graph is held as a dict adjacency, vertex -> {neighbour: multiplicity}.
+A worklist of vertex sets starts from the whole graph. Each set is first
+peeled: vertices of degree < k inside it become singleton classes, as in the
+k-core step of Chang et al. (SIGMOD 2013). Each connected piece of the rest
+then runs capped maximum-adjacency (MA) phases, Nagamochi and Ibaraki's
+CAPFOREST (SIAM J. Discrete Math 1992), with keys capped at k: a pair whose
+key reaches k is k-edge-connected inside the piece, so it is contracted. The
+piece is a class once one super-vertex is left. A super-vertex of degree < k
+is a cut of < k edges: the piece splits there and both sides go back on the
+worklist uncontracted. No exact minimum cut is ever needed.
+
+`global_min_cut` runs the same MA phase uncapped, as Stoer-Wagner.
 """
 
 from __future__ import annotations
 
-
-import numpy as np
+import heapq
 
 from .graph import Cut, Multigraph
 from .certificates import k_certificate
@@ -57,51 +65,82 @@ class Partition:
         )
 
 
-def _stoer_wagner(verts: list[int], edge_items: list) -> tuple[int, set[int]]:
-    """Minimum cut of a connected multigraph given as (eid, u, v) items.
+def _adjacency(g: Multigraph) -> dict[int, dict[int, int]]:
+    """g as vertex -> {neighbour: multiplicity}, every vertex a key."""
+    adj: dict[int, dict[int, int]] = {v: {} for v in g.vertex_ids()}
+    for eid in g.edge_ids():
+        u, v = g.endpoints(eid)
+        adj[u][v] = adj[u].get(v, 0) + 1
+        adj[v][u] = adj[v].get(u, 0) + 1
+    return adj
 
-    Returns (cut value, one side as original vertex ids). Parallel edges are
-    collapsed into integer weights; merge groups track original vertices so
-    the best phase's side can be reported.
+
+def _ma_phase(adj: dict[int, dict[int, int]], cap: int | None):
+    """One maximum-adjacency scan of a connected weighted graph.
+
+    The scan starts at adj's first vertex and next takes the unscanned vertex
+    with the largest key, its edge weight to the scanned ones, capped at
+    `cap` unless `cap` is None; ties go to the smaller id. Returns the scan
+    order, each vertex's key when it was scanned and, with a cap, every pair
+    (x, y) whose key reached the cap when x was scanned: for each such pair
+    lambda(x, y) >= cap (Nagamochi-Ibaraki).
     """
-    n = len(verts)
-    index = {v: i for i, v in enumerate(verts)}
-    w_mat = np.zeros((n, n), dtype=np.int64)
-    for _eid, u, v in edge_items:
-        iu, iv = index[u], index[v]
-        w_mat[iu, iv] += 1
-        w_mat[iv, iu] += 1
-    groups: dict[int, list[int]] = {i: [verts[i]] for i in range(n)}
-    active = list(range(n))
-    best_val = None
-    best_side: list[int] = []
-    while len(active) > 1:
-        act = np.array(active)
-        sub = w_mat[np.ix_(act, act)]
-        a = len(active)
-        in_a = np.zeros(a, dtype=bool)
-        in_a[0] = True
-        w = sub[0].copy()
-        w[0] = -1
-        order = [0]
-        last_w = 0
-        for _ in range(a - 1):
-            j = int(np.argmax(w))
-            last_w = int(w[j])
-            order.append(j)
-            in_a[j] = True
-            w = w + sub[j]
-            w[in_a] = -1
-        s, t = active[order[-2]], active[order[-1]]
-        if best_val is None or last_w < best_val:
-            best_val = last_w
-            best_side = list(groups[t])
-        w_mat[s, :] += w_mat[t, :]
-        w_mat[:, s] += w_mat[:, t]
-        w_mat[s, s] = 0
-        groups[s].extend(groups.pop(t))
-        active.remove(t)
-    return int(best_val), set(best_side)
+    start = next(iter(adj))
+    key = {start: 0}
+    order: list[int] = []
+    pairs: list[tuple[int, int]] = []
+    scanned: set[int] = set()
+    heap = [(0, start)]
+    while heap:
+        neg, x = heapq.heappop(heap)
+        if x in scanned or -neg != key[x]:
+            continue  # a stale entry: x was scanned or its key has grown
+        scanned.add(x)
+        order.append(x)
+        for y, w in adj[x].items():
+            if y in scanned:
+                continue
+            old = key.get(y, 0)
+            r = old + w
+            if cap is not None and r >= cap:
+                pairs.append((x, y))
+                if old == cap:
+                    continue
+                r = cap
+            key[y] = r
+            heapq.heappush(heap, (-r, y))
+    return order, key, pairs
+
+
+def _contract(adj: dict[int, dict[int, int]], members: dict[int, list[int]], pairs):
+    """Merge each pair's two super-vertices; returns the contracted
+    (adjacency, members), each merged vertex named by one of its old names."""
+    parent: dict[int, int] = {}
+
+    def find(x: int) -> int:
+        root = x
+        while root in parent:
+            root = parent[root]
+        while x != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    for x, y in pairs:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[ry] = rx
+    name = {x: find(x) for x in adj}
+    new_adj: dict[int, dict[int, int]] = {}
+    new_members: dict[int, list[int]] = {}
+    for x, row in adj.items():
+        rx = name[x]
+        new_row = new_adj.setdefault(rx, {})
+        new_members.setdefault(rx, []).extend(members[x])
+        for y, w in row.items():
+            ry = name[y]
+            if ry != rx:
+                new_row[ry] = new_row.get(ry, 0) + w
+    return new_adj, new_members
 
 
 def global_min_cut(g: Multigraph) -> Cut:
@@ -110,8 +149,19 @@ def global_min_cut(g: Multigraph) -> Cut:
         raise TooSmallError("minimum cut needs at least two vertices")
     if len(g.connected_components()) != 1:
         raise DisconnectedError("graph is not connected")
+    adj = _adjacency(g)
+    members = {v: [v] for v in adj}
+    value = None
+    side: set[int] = set()
+    while len(adj) > 1:
+        # Stoer-Wagner: the last vertex's key is its whole degree, the
+        # value of the cut of the phase; then merge the last two vertices
+        order, key, _ = _ma_phase(adj, None)
+        s, t = order[-2], order[-1]
+        if value is None or key[t] < value:
+            value, side = key[t], set(members[t])
+        adj, members = _contract(adj, members, [(s, t)])
     items = [(eid, *g.endpoints(eid)) for eid in g.edge_ids()]
-    value, side = _stoer_wagner(list(g.vertex_ids()), items)
     edges = {eid for eid, u, v in items if (u in side) != (v in side)}
     if len(edges) != value:
         raise SolverError("cut side inconsistent with cut value")
@@ -128,44 +178,77 @@ def max_kec_subgraphs(g: Multigraph, k: int, use_certificate: bool = False) -> P
         raise ValueError("k must be >= 1")
     if use_certificate:
         g = k_certificate(g, k).certificate
-    all_items = [(eid, *g.endpoints(eid)) for eid in g.edge_ids()]
+    adj = _adjacency(g)
     classes: list[set[int]] = []
-    stack: list[tuple[set[int], list]] = []
-    for comp in g.connected_components():
-        stack.append((comp, [it for it in all_items if it[1] in comp]))
-    while stack:
-        S, items = stack.pop()
-        if len(S) == 1:
-            classes.append(S)
-            continue
-        value, side = _stoer_wagner(sorted(S), items)
-        if value >= k:
-            classes.append(S)
-            continue
-        kept = [it for it in items if (it[1] in side) == (it[2] in side)]
-        stack.extend(_split_pieces(S, kept))
+    work = [set(adj)]
+    while work:
+        core = _peel(adj, work.pop(), k, classes)
+        for piece in _components(adj, core):
+            sides = _small_cut_sides(adj, piece, k)
+            if sides is None:
+                classes.append(piece)
+            else:
+                work.extend(sides)
     return Partition.from_classes(classes)
 
 
-def _split_pieces(S: set[int], items: list) -> list[tuple[set[int], list]]:
-    adj: dict[int, list[int]] = {v: [] for v in S}
-    for _eid, u, v in items:
-        adj[u].append(v)
-        adj[v].append(u)
+def _peel(adj, S: set[int], k: int, classes: list[set[int]]) -> set[int]:
+    """The k-core of adj[S]. Each vertex whose degree inside what is left
+    falls below k is removed in turn and appended to classes alone."""
+    deg = {v: sum(w for u, w in adj[v].items() if u in S) for v in S}
+    low = [v for v, d in deg.items() if d < k]
+    core = set(S)
+    while low:
+        v = low.pop()
+        core.discard(v)
+        classes.append({v})
+        for u, w in adj[v].items():
+            if u in core:
+                d = deg[u]
+                deg[u] = d - w
+                if d >= k > d - w:
+                    low.append(u)
+    return core
+
+
+def _components(adj, S: set[int]) -> list[set[int]]:
+    """Vertex sets of the connected components of adj[S]."""
     seen: set[int] = set()
     out = []
     for s in S:
         if s in seen:
             continue
         piece = {s}
-        seen.add(s)
         frontier = [s]
         while frontier:
             v = frontier.pop()
-            for t in adj[v]:
-                if t not in piece:
-                    piece.add(t)
-                    seen.add(t)
-                    frontier.append(t)
-        out.append((piece, [it for it in items if it[1] in piece]))
+            for u in adj[v]:
+                if u in S and u not in piece:
+                    piece.add(u)
+                    frontier.append(u)
+        seen |= piece
+        out.append(piece)
     return out
+
+
+def _small_cut_sides(adj, piece: set[int], k: int) -> list[set[int]] | None:
+    """None if adj[piece], connected with >= 2 vertices, is k-edge-connected;
+    otherwise vertex sets whose boundaries inside the piece are cuts of < k
+    edges, together covering the piece.
+
+    Capped MA phases contract pairs that are k-edge-connected inside the
+    piece until one super-vertex is left, or one has degree < k. Every edge
+    between two returned sets lies in a cut of < k edges, so no
+    k-edge-connected subgraph of the piece holds both its ends.
+    """
+    cadj = {v: {u: w for u, w in adj[v].items() if u in piece} for v in piece}
+    members = {v: [v] for v in piece}
+    # one super-vertex is tested first: alone, it has degree 0
+    while len(cadj) > 1:
+        low = [x for x, row in cadj.items() if sum(row.values()) < k]
+        if low:
+            sides = [set(members[x]) for x in low]
+            rest = piece.difference(*sides)
+            return sides + [rest] if rest else sides
+        cadj, members = _contract(cadj, members, _ma_phase(cadj, k)[2])
+    return None

@@ -1,5 +1,9 @@
 import itertools
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -209,3 +213,79 @@ def test_agreement_with_incremental_engine():
         assert set(map(frozenset, tree.partition())) == max_kec_subgraphs(
             g, 3
         ).as_sets()
+
+
+def dense_halves(k, links):
+    """Two copies of K_{k+2} doubled, {1..k+2} and {k+3..2k+4}, joined by
+    the given (left, right) links, indices counted from 0 within each half."""
+    h = k + 2
+    g = Multigraph()
+    for _ in range(2 * h):
+        g.add_vertex()
+    for base in (0, h):
+        for u in range(1, h + 1):
+            for v in range(u + 1, h + 1):
+                g.add_edge(base + u, base + v)
+                g.add_edge(base + u, base + v)
+    for a, b in links:
+        g.add_edge(a + 1, h + b + 1)
+    return g
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_cap_boundary_between_dense_halves(k):
+    # k - 1 links leave a cut of k - 1 edges; k links leave none below k
+    for count in (k - 1, k):
+        for links in ([(0, 0)] * count, [(i, i) for i in range(count)]):
+            g = dense_halves(k, links)
+            part = max_kec_subgraphs(g, k)
+            assert part == maximal_kec_bruteforce(g, k)
+            assert len(part.classes) == (2 if count < k else 1)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_cap_boundary_on_two_vertices(k):
+    for count in (k - 1, k):
+        g = Multigraph()
+        g.add_vertex()
+        g.add_vertex()
+        for _ in range(count):
+            g.add_edge(1, 2)
+        part = max_kec_subgraphs(g, k)
+        assert part == maximal_kec_bruteforce(g, k)
+        assert len(part.classes) == (2 if count < k else 1)
+
+
+def test_min_cut_matches_flow_oracle_beyond_enumeration():
+    from eccforge.oracle import edge_connectivity
+
+    rng = random.Random(77)
+    checked = nontrivial = 0
+    while checked < 20:
+        if checked % 2:
+            n = rng.randint(13, 30)
+            g = random_multigraph(rng, n, rng.randint(2 * n, 5 * n))
+        else:
+            # two dense blocks of 7..15 joined by 1..4 edges, so the minimum
+            # cut can lie between the blocks rather than at one vertex
+            size = rng.randint(7, 15)
+            g = planted_clusters(rng, 2, size, 4 * size, rng.randint(1, 4))
+        if len(g.connected_components()) != 1:
+            continue
+        checked += 1
+        cut = global_min_cut(g)
+        v0, *rest = g.vertex_ids()
+        assert cut.value == min(edge_connectivity(g, v0, v) for v in rest)
+        assert len(cut.edges) == cut.value
+        for eid in cut.edges:
+            a, b = g.endpoints(eid)
+            assert (a in cut.side) != (b in cut.side)
+        nontrivial += 1 < len(cut.side) < g.n - 1
+    assert nontrivial > 0
+
+
+def test_import_leaves_numpy_unloaded():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    check = "import eccforge, sys; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", check], env=env, check=True)
