@@ -5,7 +5,6 @@ from collections import Counter
 import pytest
 
 from eccforge import Multigraph, SparsTree, max_kec_subgraphs, maximal_kec_bruteforce
-from eccforge.certificates import superset_forest_count
 from eccforge.dynamic import _has_k_paths
 from eccforge.gen import random_dynamic_stream
 from eccforge.graph import SelfLoopError, UnknownEdgeError, UnknownVertexError
@@ -114,28 +113,6 @@ def test_rejected_self_loop_leaves_tree_intact():
     assert st.partition() == max_kec_subgraphs(g, 3)
 
 
-def test_path_local_recomputation():
-    g = Multigraph()
-    for _ in range(10):
-        g.add_vertex()
-    st = SparsTree(g, 3)
-    # force several groups so the path is a strict subset of the tree
-    for _ in range(3 * st.capacity):
-        st.insert(1, 2)
-    height = 1
-    slots = st._slots
-    while slots > 1:
-        slots //= 2
-        height += 1
-    assert st._slots >= 2
-    st.insert(3, 4)
-    if not st.last_update_grew:
-        assert st.last_recompute_nodes == height
-        assert st.last_recompute_nodes < 2 * st._slots - 1
-    st.delete(1, 2)
-    assert st.last_recompute_nodes == height
-
-
 @pytest.fixture
 def solve_sizes(monkeypatch):
     """The vertex count of every graph SparsTree hands the static solver."""
@@ -192,23 +169,6 @@ def test_three_links_merge_two_classes(solve_sizes):
     assert (st.full_solves, st.flow_checks, solve_sizes) == (1, 0, [8, 2, 2, 2])
 
 
-def test_identity_certificates_until_a_vertex_outgrows_t_plus_k():
-    g = Multigraph()
-    for _ in range(2):
-        g.add_vertex()
-    st = SparsTree(g, 3)
-    built = st.identity_certificates
-    t = superset_forest_count(2, 3)
-    for _ in range(t + 3):
-        st.insert(1, 2)
-    assert st.identity_certificates == built + t + 3
-    assert len(st._cert[1]) == t + 3
-    st.insert(1, 2)  # degree t + k + 1: the leaf drops the extra edge
-    assert st.identity_certificates == built + t + 3
-    assert len(st._cert[1]) == t + 3
-    assert st.live_edge_count() == t + 4
-
-
 def test_random_stream_matches_static_solver():
     rng = random.Random(123)
     for _ in range(6):
@@ -245,12 +205,11 @@ def _pair(rng, n):
 
 def test_scoped_updates_match_oracle():
     rng = random.Random(0x5C0DE)
-    thinned = 0
     for k in (3, 4, 5):
         for _ in range(20):
             n = rng.randint(2, 10)
             # sparse streams split and merge classes; dense ones (up to 25n
-            # edges) give a root certificate that drops edges
+            # edges) stack many parallel copies on each vertex pair
             dense = rng.random() < 0.4
             m = rng.randint(15 * n, 25 * n) if dense else rng.randint(n, 3 * n)
             live = [_pair(rng, n) for _ in range(m)]
@@ -267,19 +226,16 @@ def test_scoped_updates_match_oracle():
                     live.append((u, v))
                     st.insert(u, v)
                     g.add_edge(u, v)
-                thinned += len(st._cert[1]) < g.m
                 assert st.partition() == maximal_kec_bruteforce(g, k), (k, n, u, v)
             assert st.live_edge_count() == g.m
-    assert thinned > 0
 
 
 def _snapshot(st):
     return (
         st.partition().as_sets(),
         st.live_edge_count(),
-        list(st._cert[1]),
-        {key: list(slots) for key, slots in st._locator.items()},
-        (st.rebuilds, st.full_solves, st.flow_checks, st.identity_certificates),
+        {x: dict(row) for x, row in st._adj.items()},
+        (st.rebuilds, st.full_solves, st.flow_checks, st.last_recompute_nodes),
     )
 
 
@@ -287,7 +243,7 @@ def test_delete_forgets_a_pair_with_no_copies_left():
     st = SparsTree(k4_pair(), 3)
     st.insert(1, 5)
     st.delete(1, 5)
-    assert (1, 5) not in st._locator
+    assert 5 not in st._adj[1] and 1 not in st._adj[5]
     before = _snapshot(st)
     with pytest.raises(UnknownEdgeError):
         st.delete(1, 5)
@@ -334,53 +290,54 @@ def test_has_k_paths_ignores_a_path_that_leaves_the_class():
     assert not _has_k_paths(adj, {1: 0, 2: 0, 3: 1}, 0, 1, 2, 3)
 
 
-def _check_tree(st):
-    """The root adjacency holds the root certificate's edges, and every
-    node's bound and touch count bracket its certificate's max degree and
-    vertex count."""
-    want = Counter()
-    for _eid, a, b in st._cert[1]:
-        want[a, b] += 1
-        want[b, a] += 1
-    got = Counter({(x, y): m for x, row in st._adj.items() for y, m in row.items()})
-    assert got == want
-    for node in range(1, 2 * st._slots):
-        degree = Counter(x for _eid, a, b in st._cert[node] for x in (a, b))
-        assert st._bound[node] >= max(degree.values(), default=0), node
-        assert st._touch[node] <= len(degree), node
-
-
-def test_root_adjacency_and_degree_bounds_follow_every_update(monkeypatch):
-    relinks = []
-    real = SparsTree._relink
-
-    def spy(self, old_root):
-        relinks.append(len(old_root))
-        real(self, old_root)
-
-    monkeypatch.setattr(SparsTree, "_relink", spy)
+def test_adjacency_follows_every_update():
+    """The adjacency holds exactly the live edge multiset after every update,
+    on sparse and dense streams."""
     rng = random.Random(0xAD1)
-    shifted = relinked = 0
     for k in (3, 4, 5):
         for _ in range(12):
             n = rng.randint(2, 10)
-            # dense streams (up to 25n edges) thin their certificates, so the
-            # root adjacency must follow a set difference, not the one edge
             dense = rng.random() < 0.5
             m = rng.randint(15 * n, 25 * n) if dense else rng.randint(n, 3 * n)
             live = [_pair(rng, n) for _ in range(m)]
             st = SparsTree(_graph_of(n, live), k)
-            _check_tree(st)
-            for _ in range(40):
-                before = len(relinks)
-                if live and rng.random() < 0.5:
+            for step in range(41):
+                if step and live and rng.random() < 0.5:
                     st.delete(*live.pop(rng.randrange(len(live))))
-                else:
+                elif step:
                     live.append(_pair(rng, n))
                     st.insert(*live[-1])
-                if not st.last_update_grew:
-                    relinked += len(relinks) > before
-                    shifted += len(relinks) == before
-                _check_tree(st)
-            assert st.live_edge_count() == len(live)
-    assert shifted > 0 and relinked > 0
+                assert st._adj == _adjacency(n, live)
+                assert st.live_edge_count() == len(live)
+
+
+def test_rejected_non_integer_vertex_changes_nothing():
+    st = SparsTree(_graph_of(3, [(1, 2), (2, 3), (3, 1)]), 3)
+    before = _snapshot(st)
+    with pytest.raises(UnknownVertexError):
+        st.insert(1.5, 2)
+    with pytest.raises(UnknownVertexError):
+        st.insert(2, 1.5)
+    with pytest.raises(UnknownVertexError):
+        st.delete(1.5, 2)
+    with pytest.raises(UnknownVertexError):
+        st.max_k_edge(2.5, 3)
+    assert _snapshot(st) == before
+    st.insert(1, 2)
+    assert st.live_edge_count() == 4
+    assert st._adj[1][2] == st._adj[2][1] == 2
+
+
+def test_parallel_links_count_in_merge_and_split(solve_sizes):
+    # k parallel copies of one edge join two K4s; one copy fewer splits them
+    st = SparsTree(k4_pair(), 3)
+    for _ in range(3):
+        assert not st.max_k_edge(1, 5)
+        st.insert(1, 5)
+    assert st.partition().as_sets() == {frozenset(range(1, 9))}
+    st.delete(5, 1)
+    assert st.partition().as_sets() == {
+        frozenset({1, 2, 3, 4}),
+        frozenset({5, 6, 7, 8}),
+    }
+    assert (st.full_solves, st.flow_checks, solve_sizes) == (1, 1, [8, 2, 2, 2, 8])
