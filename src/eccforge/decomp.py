@@ -126,7 +126,7 @@ class DecompTree:
         self.root.leaf = False
 
     def _check_vertex(self, v: int) -> None:
-        if not (1 <= v <= self.n_vertices):
+        if not (isinstance(v, int) and 1 <= v <= self.n_vertices):
             raise UnknownVertexError(f"unknown vertex {v}")
 
     def _leaf_of(self, v: int) -> DecompNode:

@@ -7,8 +7,7 @@ update can change it:
 - an insert inside a class, or a delete between two classes, changes nothing;
 - a delete of (u, v) inside class C keeps C if C still holds k edge-disjoint
   u-v paths, because only cuts separating u from v lost an edge; otherwise C
-  is replaced by its own classes. The flow runs on the adjacency, so a delete
-  builds no graph unless C splits;
+  is replaced by its own classes;
 - an insert between classes can only merge whole classes, and every old class
   stays k-edge-connected, so the classes of the graph with each old class
   contracted, on the component that holds the new edge, say which merge.
@@ -21,26 +20,16 @@ t = ceil(4k log2 n). Below that a tree of certificates is bookkeeping; above
 it, rebuilding certificates along a tree path on every update costs far more
 than the thinner class saves. The class keeps its name for its callers.
 
-Only the build solves the whole graph. Queries are constant-time lookups in
-the cached partition.
+Flows and solves read the adjacency itself, restricted to the class or the
+component (`solver.kec_classes`), so no update builds a graph. Only the build
+solves the whole graph. Queries are constant-time lookups in the cached
+partition.
 """
 
 from __future__ import annotations
 
 from .graph import Multigraph, SelfLoopError, UnknownEdgeError, UnknownVertexError
-from .solver import Partition, max_kec_subgraphs
-
-
-def _local_graph(vertices: list[int], edges: list[tuple[int, int]]) -> Multigraph:
-    """`edges` as a multigraph whose vertex i is vertices[i - 1]; edge ids
-    follow the order of `edges`, from 1."""
-    local = {x: i for i, x in enumerate(vertices, 1)}
-    h = Multigraph()
-    for _ in vertices:
-        h.add_vertex()
-    for a, b in edges:
-        h.add_edge(local[a], local[b])
-    return h
+from .solver import Partition, kec_classes
 
 
 def _has_k_paths(
@@ -108,9 +97,8 @@ class SparsTree:
         self._m = 0
         for eid in g.edge_ids():
             self._link(*g.endpoints(eid), 1)
-        everyone = list(self._adj)
         self._partition = Partition.from_classes(
-            self._classes(everyone, self._edges_within(everyone))
+            kec_classes(self._adj, self._adj.keys(), k)
         )
 
     def _check_vertex(self, v: int) -> None:
@@ -126,26 +114,7 @@ class SparsTree:
             if not row[y]:
                 del row[y]
 
-    def _edges_within(self, vertices) -> list[tuple[int, int]]:
-        """The live edges with both ends in `vertices`, one pair per copy."""
-        inside = set(vertices)
-        return [
-            (a, b)
-            for a in vertices
-            for b, mult in self._adj[a].items()
-            if a < b and b in inside
-            for _ in range(mult)
-        ]
-
     # -- partition maintenance -------------------------------------------
-
-    def _classes(
-        self, vertices: list[int], edges: list[tuple[int, int]]
-    ) -> list[set[int]]:
-        """The classes of the multigraph `edges` over `vertices`, in the
-        caller's vertex ids."""
-        part = max_kec_subgraphs(_local_graph(vertices, edges), self.k)
-        return [{vertices[i - 1] for i in c} for c in part.classes]
 
     def _split_class(self, u: int, v: int) -> None:
         """Refine the partition after edge (u, v) left the live graph."""
@@ -156,8 +125,7 @@ class SparsTree:
         self.flow_checks += 1
         if _has_k_paths(self._adj, part.class_of, c, u, v, self.k):
             return
-        members = sorted(part.classes[c])
-        pieces = self._classes(members, self._edges_within(members))
+        pieces = kec_classes(self._adj, part.classes[c], self.k)
         self._partition = Partition.from_classes(
             part.classes[:c] + pieces + part.classes[c + 1 :]
         )
@@ -174,19 +142,17 @@ class SparsTree:
                 if y not in comp:
                     comp.add(y)
                     stack.append(y)
-        quotient = [  # each class contracted; one pair per crossing copy
-            (ca, cb)
-            for a in comp
-            for b, mult in self._adj[a].items()
-            if (ca := class_of[a]) < (cb := class_of[b])
-            for _ in range(mult)
-        ]
+        # each class contracted: class -> {class: crossing multiplicity}
+        quotient: dict[int, dict[int, int]] = {class_of[x]: {} for x in comp}
+        for a in comp:
+            ca = class_of[a]
+            row = quotient[ca]
+            for b, mult in self._adj[a].items():
+                if (cb := class_of[b]) != ca:
+                    row[cb] = row.get(cb, 0) + mult
         classes = self._partition.classes
-        merged = [
-            grp
-            for grp in self._classes(sorted({class_of[x] for x in comp}), quotient)
-            if len(grp) > 1
-        ]
+        groups = kec_classes(quotient, quotient.keys(), self.k)
+        merged = [grp for grp in groups if len(grp) > 1]
         if not merged:
             return
         gone = set().union(*merged)

@@ -1,7 +1,12 @@
 """Static maximal k-edge-connected subgraphs by repeated small-cut removal.
 
 The graph is held as a dict adjacency, vertex -> {neighbour: multiplicity}.
-A worklist of vertex sets starts from the whole graph. Each set is first
+`kec_classes` is the one entry: it solves an adjacency restricted to a vertex
+set and leaves the adjacency as it was. `max_kec_subgraphs` turns a
+`Multigraph` into an adjacency and calls it; the fully dynamic wrapper calls
+it on its own live adjacency, for a class or for a quotient of classes.
+
+A worklist of vertex sets starts from the given set. Each set is first
 peeled: vertices of degree < k inside it become singleton classes, as in the
 k-core step of Chang et al. (SIGMOD 2013). Each connected piece of the rest
 then runs capped maximum-adjacency (MA) phases, Nagamochi and Ibaraki's
@@ -174,13 +179,20 @@ def max_kec_subgraphs(g: Multigraph, k: int, use_certificate: bool = False) -> P
     k = 1 degenerates to connected components. With use_certificate the input
     is first replaced by its k-certificate (same answer, k >= 3 only).
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     if use_certificate:
         g = k_certificate(g, k).certificate
     adj = _adjacency(g)
+    return Partition.from_classes(kec_classes(adj, set(adj), k))
+
+
+def kec_classes(adj: dict[int, dict[int, int]], vertices, k: int) -> list[set[int]]:
+    """The vertex sets of the maximal k-edge-connected subgraphs of adj
+    (vertex -> {neighbour: multiplicity}) restricted to `vertices`, each a key
+    of adj. Edges that leave `vertices` are ignored; adj is not changed."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     classes: list[set[int]] = []
-    work = [set(adj)]
+    work = [set(vertices)]
     while work:
         core = _peel(adj, work.pop(), k, classes)
         for piece in _components(adj, core):
@@ -189,7 +201,7 @@ def max_kec_subgraphs(g: Multigraph, k: int, use_certificate: bool = False) -> P
                 classes.append(piece)
             else:
                 work.extend(sides)
-    return Partition.from_classes(classes)
+    return classes
 
 
 def _peel(adj, S: set[int], k: int, classes: list[set[int]]) -> set[int]:

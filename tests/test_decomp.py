@@ -52,6 +52,30 @@ def test_insert_edge_errors():
         tree.same_max_3ec(1, 5)
 
 
+def test_rejected_non_integer_vertex_changes_nothing():
+    tree = DecompTree()
+    for _ in range(3):
+        tree.insert_vertex()
+    tree.insert_edge(1, 2)
+
+    def snapshot():
+        return tree.affecting_insertions, tree.total_insert_calls, tree.partition()
+
+    before = snapshot()
+    with pytest.raises(UnknownVertexError):
+        tree.insert_edge(1.5, 2)
+    with pytest.raises(UnknownVertexError):
+        tree.insert_edge(2, 1.5)
+    with pytest.raises(UnknownVertexError):
+        tree.same_max_3ec(2, 1.5)
+    with pytest.raises(UnknownVertexError):
+        tree.subgraph_of(1.5)
+    with pytest.raises(UnknownVertexError):
+        tree.subgraph_of("1")
+    assert snapshot() == before
+    tree.validate()
+
+
 def test_triangle_stays_trivial():
     tree, _ = replay([(1, 2), (2, 3), (3, 1)], 3)
     for u, v in itertools.combinations(range(1, 4), 2):

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import os
 import pathlib
@@ -15,7 +16,7 @@ from eccforge import (
 )
 from eccforge.gen import planted_clusters, random_multigraph
 from eccforge.oracle import kecc_partition
-from eccforge.solver import DisconnectedError, TooSmallError
+from eccforge.solver import DisconnectedError, TooSmallError, _adjacency, kec_classes
 
 
 def enumerate_min_cut(g):
@@ -254,6 +255,36 @@ def test_cap_boundary_on_two_vertices(k):
         part = max_kec_subgraphs(g, k)
         assert part == maximal_kec_bruteforce(g, k)
         assert len(part.classes) == (2 if count < k else 1)
+
+
+def test_kec_classes_on_a_vertex_subset_matches_oracle():
+    """kec_classes on part of a larger adjacency: edges that leave the subset
+    are ignored, parallel edges count, and the adjacency is left as it was."""
+    rng = random.Random(0x5B5E7)
+    for k in (1, 2, 3, 4, 5):
+        for _ in range(30):
+            n = rng.randint(2, 12)
+            g = Multigraph()
+            for _ in range(n):
+                g.add_vertex()
+            # few vertex pairs, many edges: parallel edges are common
+            for _ in range(rng.randint(0, 5 * n)):
+                g.add_edge(*rng.sample(range(1, n + 1), 2))
+            adj = _adjacency(g)
+            before = copy.deepcopy(adj)
+            subset = set(rng.sample(range(1, n + 1), rng.randint(1, n)))
+            inside = [
+                eid for eid in g.edge_ids() if set(g.endpoints(eid)) <= subset
+            ]
+            want = maximal_kec_bruteforce(g.subgraph_with_edges(inside), k)
+            got = kec_classes(adj, subset, k)
+            assert sorted(map(sorted, got)) == sorted(
+                sorted(c) for c in want.classes if c <= subset
+            ), (k, n, subset)
+            assert adj == before
+    assert kec_classes({1: {2: 3}, 2: {1: 3}}, set(), 3) == []
+    with pytest.raises(ValueError):
+        kec_classes({1: {}}, {1}, 0)
 
 
 def test_min_cut_matches_flow_oracle_beyond_enumeration():
