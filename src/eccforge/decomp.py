@@ -1,11 +1,13 @@
 """Incremental maintenance of the maximal 3-edge-connected subgraphs.
 
 The engine keeps a decomposition tree whose levels cycle through connected
-components, 2-edge-connected components, and 3-edge-connected components;
-leaves are exactly the maximal 3-edge-connected subgraphs of the inserted
-graph. Non-leaf component nodes carry a block tree of their 2-eccs, non-leaf
-2-ecc nodes carry a cactus of their 3-eccs, and a vertex union-find labelled
-by leaves answers same-subgraph queries.
+components, 2-edge-connected components, and 3-edge-connected components, so
+a node's kind is its depth mod 3: 0 for the root or a 3-ecc, 1 for a 1-ecc,
+2 for a 2-ecc. Leaves are exactly the maximal 3-edge-connected subgraphs of
+the inserted graph, and a node is a leaf exactly when it holds an item of the
+vertex union-find, which is labelled by leaves and answers same-subgraph
+queries. Non-leaf component nodes carry a block tree of their 2-eccs, and
+non-leaf 2-ecc nodes carry a cactus of their 3-eccs.
 
 Edge insertion locates the nearest common ancestor of the two endpoint leaves
 and rewrites only that node's attached structure; interconnection edges that
@@ -25,18 +27,6 @@ from .climb import meet_paths
 from .dsu import DsuForest
 from .graph import SelfLoopError, UnknownVertexError
 
-KIND_ROOT = "root"
-KIND_1ECC = "ecc1"
-KIND_2ECC = "ecc2"
-KIND_3ECC = "ecc3"
-
-_CHILD_KIND = {
-    KIND_ROOT: KIND_1ECC,
-    KIND_1ECC: KIND_2ECC,
-    KIND_2ECC: KIND_3ECC,
-    KIND_3ECC: KIND_1ECC,
-}
-
 _parent = attrgetter("parent")
 
 
@@ -45,39 +35,25 @@ class DecompError(Exception):
 
 
 class DecompNode:
-    __slots__ = (
-        "id",
-        "kind",
-        "parent",
-        "children",
-        "level",
-        "leaf",
-        "bt_node",
-        "cx_node",
-        "dsu_item",
-        "_mark",
-    )
+    __slots__ = ("parent", "children", "level", "bt_node", "cx_node", "dsu_item", "_mark")
 
-    def __init__(self, node_id: int, kind: str, parent: Optional["DecompNode"], level: int):
-        self.id = node_id
-        self.kind = kind
+    def __init__(self, parent: Optional["DecompNode"]):
         self.parent = parent
         self.children: set[DecompNode] = set()
-        self.level = level
-        self.leaf = False
+        self.level = 0 if parent is None else parent.level + 1
         self.bt_node = None  # block-tree node of a 2-ecc inside its parent's tree
         self.cx_node = None  # cactus real node of a 3-ecc inside its parent's cactus
         self.dsu_item: Optional[int] = None  # any vertex item of a leaf's class
         self._mark = False
 
     def __repr__(self) -> str:
-        return f"DecompNode({self.id}, {self.kind}, level={self.level})"
+        leaf = ", leaf" if self.dsu_item is not None else ""
+        return f"DecompNode(level={self.level}{leaf})"
 
 
 class DecompTree:
     def __init__(self) -> None:
-        self._serial = 0
-        self.root = self._new_node(KIND_ROOT, None, 0)
+        self.root = DecompNode(None)
         self._dsu = DsuForest()
         self._bf = BlockForest()
         self._cf = CactusForest()
@@ -86,18 +62,18 @@ class DecompTree:
         self.total_insert_calls = 0
         self._owed: list[tuple[int, int]] = []
 
-    def _new_node(self, kind: str, parent: Optional[DecompNode], level: int) -> DecompNode:
-        self._serial += 1
-        node = DecompNode(self._serial, kind, parent, level)
-        if parent is not None:
-            parent.children.add(node)
+    def _new_node(self, parent: DecompNode) -> DecompNode:
+        node = DecompNode(parent)
+        parent.children.add(node)
         return node
 
     # -- vertex / query surface ------------------------------------------
 
     def insert_vertex(self) -> int:
-        if self.root.leaf:
-            self._demote_root_leaf()
+        if self.root.dsu_item is not None:
+            # the whole graph had condensed into the root; its class moves
+            # down so the root can take new components again
+            self._expand_leaf(self.root)
         v = self.n_vertices + 1
         self.n_vertices = v
         c3 = self._new_chain(self.root)
@@ -108,22 +84,12 @@ class DecompTree:
 
     def _new_chain(self, top: DecompNode) -> DecompNode:
         """Fresh 1-ecc/2-ecc/3-ecc chain below `top`; returns the leaf."""
-        c1 = self._new_node(KIND_1ECC, top, top.level + 1)
-        c2 = self._new_node(KIND_2ECC, c1, top.level + 2)
-        c3 = self._new_node(KIND_3ECC, c2, top.level + 3)
-        c3.leaf = True
+        c1 = self._new_node(top)
+        c2 = self._new_node(c1)
+        c3 = self._new_node(c2)
         c2.bt_node = self._bf.new_node(c2)
         c3.cx_node = self._cf.new_node(c3)
         return c3
-
-    def _demote_root_leaf(self) -> None:
-        # the whole graph had condensed into the root; its class moves to a
-        # fresh chain so the root can take new components again
-        c3 = self._new_chain(self.root)
-        self._dsu.set_label(self.root.dsu_item, c3)
-        c3.dsu_item = self.root.dsu_item
-        self.root.dsu_item = None
-        self.root.leaf = False
 
     def _check_vertex(self, v: int) -> None:
         if not (isinstance(v, int) and 1 <= v <= self.n_vertices):
@@ -172,10 +138,11 @@ class DecompTree:
         if leaf_x is leaf_y:
             return
         nca, path_x, path_y = self._nca(leaf_x, leaf_y)
-        if nca.kind in (KIND_ROOT, KIND_3ECC):
+        kind = nca.level % 3
+        if kind == 0:  # the root or a 3-ecc
             self._insert_at_component(path_x, path_y, x, y)
             return
-        if nca.kind == KIND_1ECC:
+        if kind == 1:
             self._insert_at_1ecc(nca, path_x, path_y, x, y)
             return
         # nca is a 2-ecc node: compress the cycle-path on its cactus
@@ -249,7 +216,7 @@ class DecompTree:
         trivial chain first, so the merged node's subtree decomposes them
         properly."""
         for d in d_nodes:
-            if d.leaf:
+            if d.dsu_item is not None:
                 self._expand_leaf(d)
         survivor = self._merge_siblings(d_nodes)
         z_real.handle = survivor
@@ -260,7 +227,6 @@ class DecompTree:
 
     def _expand_leaf(self, d: DecompNode) -> None:
         c3 = self._new_chain(d)
-        d.leaf = False
         self._dsu.set_label(d.dsu_item, c3)
         c3.dsu_item = d.dsu_item
         d.dsu_item = None
@@ -289,14 +255,11 @@ class DecompTree:
             leaves = self._collect_leaves(grand)
             self._unite_leaves(leaves, grand)
             grand.children = set()
-            grand.leaf = True
         else:
             leaves = self._collect_leaves(nca)
-            self._serial += 1
-            d = DecompNode(self._serial, KIND_3ECC, nca, nca.level + 1)
-            d.leaf = True
+            nca.children = set()
+            d = self._new_node(nca)
             self._unite_leaves(leaves, d)
-            nca.children = {d}
             # the compressed cactus is now a single real node; rebind it
             z_real.handle = d
             d.cx_node = z_real
@@ -306,7 +269,7 @@ class DecompTree:
         stack = list(top.children)
         while stack:
             nd = stack.pop()
-            if nd.leaf:
+            if nd.dsu_item is not None:
                 out.append(nd)
             else:
                 stack.extend(nd.children)
@@ -344,17 +307,18 @@ class DecompTree:
     # -- structural audit -------------------------------------------------------
 
     def validate(self) -> None:
-        """Debug audit: kind cycling, levels, handle bijections, and the
-        leaf/DSU correspondence. Raises DecompError on any violation."""
+        """Debug audit: levels, handle bijections, and the leaf/DSU
+        correspondence. Raises DecompError on any violation."""
         leaves = []
         stack = [self.root]
         while stack:
             node = stack.pop()
-            if node.leaf:
+            kind = node.level % 3
+            if node.dsu_item is not None:
                 if node.children:
                     raise DecompError(f"leaf {node} has children")
-                if node.kind not in (KIND_3ECC, KIND_ROOT):
-                    raise DecompError(f"leaf {node} has kind {node.kind}")
+                if kind != 0:
+                    raise DecompError(f"leaf {node} is not a 3-ecc")
                 leaves.append(node)
             elif not node.children and node is not self.root:
                 raise DecompError(f"internal {node} has no children")
@@ -363,41 +327,27 @@ class DecompTree:
                     raise DecompError(f"parent link broken at {ch}")
                 if ch.level != node.level + 1:
                     raise DecompError(f"level broken at {ch}")
-                if ch.kind != _CHILD_KIND[node.kind]:
-                    raise DecompError(f"kind cycle broken at {ch}")
                 stack.append(ch)
-            if node.kind == KIND_1ECC and not node.leaf:
-                self._check_block_binding(node)
-            if node.kind == KIND_2ECC and not node.leaf:
-                self._check_cactus_binding(node)
+            if kind == 1:
+                self._check_binding(node, self._bf, "bt_node")
+            elif kind == 2:
+                self._check_binding(node, self._cf, "cx_node")
         if len(leaves) != self._dsu.num_sets:
             raise DecompError("leaf count disagrees with class count")
         for lf in leaves:
-            if lf.dsu_item is None or self._dsu.label_of(lf.dsu_item) is not lf:
+            if self._dsu.label_of(lf.dsu_item) is not lf:
                 raise DecompError(f"class label broken at leaf {lf}")
 
-    def _check_block_binding(self, node: DecompNode) -> None:
-        trees = set()
-        for ch in node.children:
-            bn = ch.bt_node
-            if bn is None or not self._bf.is_live(bn) or bn.handle is not ch:
-                raise DecompError(f"block binding broken under {node}")
-            trees.add(id(self._bf.root_path(bn)[-1]))
-        if len(trees) != 1:
-            raise DecompError(f"children of {node} span several block trees")
-        any_child = next(iter(node.children))
-        if self._bf.tree_size(any_child.bt_node) != len(node.children):
-            raise DecompError(f"block tree size mismatch under {node}")
-
-    def _check_cactus_binding(self, node: DecompNode) -> None:
+    def _check_binding(self, node: DecompNode, forest, attr: str) -> None:
+        """The children of `node` are bound one-to-one to the nodes of one
+        tree of `forest` (block trees or cactuses) through `attr`."""
         roots = set()
         for ch in node.children:
-            rn = ch.cx_node
-            if rn is None or not self._cf.is_live(rn) or rn.handle is not ch:
-                raise DecompError(f"cactus binding broken under {node}")
-            roots.add(id(self._cf.root_path(rn)[-1]))
+            fnode = getattr(ch, attr)
+            if fnode is None or not forest.is_live(fnode) or fnode.handle is not ch:
+                raise DecompError(f"{attr} binding broken under {node}")
+            roots.add(forest.root_path(fnode)[-1])
         if len(roots) != 1:
-            raise DecompError(f"children of {node} span several cactuses")
-        any_child = next(iter(node.children))
-        if self._cf.cactus_size(any_child.cx_node) != len(node.children):
-            raise DecompError(f"cactus size mismatch under {node}")
+            raise DecompError(f"children of {node} span several trees")
+        if roots.pop().size != len(node.children):
+            raise DecompError(f"tree size mismatch under {node}")

@@ -86,8 +86,8 @@ class SparsTree:
     """
 
     def __init__(self, g: Multigraph, k: int):
-        if k < 3:
-            raise ValueError("k must be >= 3")
+        if k < 1:
+            raise ValueError("k must be >= 1")
         self.k = k
         self.rebuilds = 1
         self.full_solves = 1

@@ -156,3 +156,30 @@ def test_verify_checks_dynamic_partitions(monkeypatch, capsys):
     assert code == 1
     assert len(failing) > len(set(failing))  # some trial fails at both k
     assert lines[-1] == f"verify: {6 - len(set(failing))}/6 trials agreed (seed=1)"
+
+
+def test_verify_below_k3(capsys):
+    # the dynamic engine and the static solver take any k >= 1; the
+    # certified solve runs only from k = 3
+    code = main(["verify", "--seed", "2", "--nmax", "10", "--trials", "4", "-k", "1", "-k", "2"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "verify: 4/4 trials agreed (seed=2)"
+    assert main(["verify", "--trials", "1", "-k", "0"]) == 2
+
+
+def test_verify_audits_the_tree(monkeypatch, capsys):
+    import eccforge.cli
+    from eccforge.decomp import DecompError, DecompTree
+
+    class Corrupt(DecompTree):
+        def validate(self):
+            raise DecompError("corrupt")
+
+    monkeypatch.setattr(eccforge.cli, "DecompTree", Corrupt)
+    code = main(["verify", "--seed", "1", "--nmax", "8", "--trials", "3", "-k", "3"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert lines[:-1] == [
+        f"trial {t}: incremental engine fails its audit: corrupt" for t in range(3)
+    ]
+    assert lines[-1] == "verify: 0/3 trials agreed (seed=1)"

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from eccforge import DecompTree, Multigraph, maximal_kec_bruteforce
+from eccforge.decomp import DecompError, DecompNode
 from eccforge.gen import staircase_sequence, random_insertion_sequence
 from eccforge.graph import SelfLoopError, UnknownVertexError
 
@@ -34,7 +35,7 @@ def test_insert_vertex_trivial_chain():
     # root plus the 1ecc/2ecc/3ecc chain
     assert tree.root.level == 0
     chain = list(tree.root.children)
-    assert len(chain) == 1 and chain[0].kind == "ecc1"
+    assert len(chain) == 1 and chain[0].level % 3 == 1
     tree.validate()
     w = tree.insert_vertex()
     assert not tree.same_max_3ec(v, w)
@@ -211,7 +212,7 @@ def test_same_leaf_insert_is_structural_noop():
 
 def test_whole_graph_condenses_to_root_then_grows():
     tree, _ = replay(K4_EDGES, 4)
-    assert tree.root.leaf or tree.count() == 1
+    assert tree.root.dsu_item is not None or tree.count() == 1
     v = tree.insert_vertex()  # must demote the condensed root cleanly
     assert v == 5
     tree.validate()
@@ -244,11 +245,11 @@ def test_merge_opposite_cycle_members_no_reinsertion():
     assert tree.total_insert_calls == calls_before + 2
     d1 = tree._ancestor_at(1, 3)
     assert d1 is tree._ancestor_at(3, 3)
-    assert not d1.leaf
+    assert d1.dsu_item is None
     # the two expanded chains were linked by the repeated insertion, so the
     # merged 3-ecc node now holds one component with a 2-node block tree
     (c,) = d1.children
-    assert c.kind == "ecc1"
+    assert c.level % 3 == 1
     assert len(c.children) == 2
     assert set(map(frozenset, tree.partition())) == maximal_kec_bruteforce(
         g, 3
@@ -296,3 +297,67 @@ def test_tree_size_stays_linear():
             else:
                 tree.insert_edge(op[1], op[2])
         assert count_nodes(tree) <= 6 * tree.n_vertices + 1
+
+
+def _give_leaf_a_child(tree, by_level):
+    leaf = by_level[3][0]
+    leaf.children.add(DecompNode(leaf))
+
+
+def _reparent_grandchild_to_root(tree, by_level):
+    node = by_level[2][0]
+    node.parent.children.discard(node)
+    node.parent = tree.root
+    tree.root.children.add(node)
+
+
+def _clear_block_handle(tree, by_level):
+    by_level[2][0].bt_node.handle = None
+
+
+def _clear_cactus_handle(tree, by_level):
+    by_level[3][0].cx_node.handle = None
+
+
+def _drop_cactus_node(tree, by_level):
+    by_level[3][0].cx_node = None
+
+
+def _swap_leaf_items(tree, by_level):
+    a, b = by_level[3][:2]
+    a.dsu_item, b.dsu_item = b.dsu_item, a.dsu_item
+
+
+def _make_2ecc_a_leaf(tree, by_level):
+    node = by_level[2][0]
+    node.dsu_item = next(iter(node.children)).dsu_item
+    node.children = set()
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _give_leaf_a_child,
+        _reparent_grandchild_to_root,
+        _clear_block_handle,
+        _clear_cactus_handle,
+        _drop_cactus_node,
+        _swap_leaf_items,
+        _make_2ecc_a_leaf,
+    ],
+)
+def test_validate_catches_corruption(corrupt):
+    # a 4-cycle with a pendant vertex: one component whose block tree holds
+    # two 2-eccs, one of them with a four-node cactus
+    tree, _ = replay([(1, 2), (2, 3), (3, 4), (4, 1), (4, 5)], 5)
+    tree.validate()
+    by_level = {}
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        by_level.setdefault(node.level, []).append(node)
+        stack.extend(node.children)
+    assert [len(by_level[lv]) for lv in range(4)] == [1, 1, 2, 5]
+    corrupt(tree, by_level)
+    with pytest.raises(DecompError):
+        tree.validate()

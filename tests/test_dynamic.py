@@ -50,9 +50,9 @@ def test_build_two_k4_bridge(two_k4_bridge):
     }
 
 
-def test_build_requires_k3():
+def test_build_requires_positive_k():
     with pytest.raises(ValueError):
-        SparsTree(Multigraph(), 2)
+        SparsTree(Multigraph(), 0)
 
 
 def test_insert_bridge_then_second_link():
@@ -205,7 +205,7 @@ def _pair(rng, n):
 
 def test_scoped_updates_match_oracle():
     rng = random.Random(0x5C0DE)
-    for k in (3, 4, 5):
+    for k in (1, 2, 3, 4, 5):
         for _ in range(20):
             n = rng.randint(2, 10)
             # sparse streams split and merge classes; dense ones (up to 25n
