@@ -1,8 +1,12 @@
 """Forest of rooted trees with node merging, path compression into a single
 node, and size-aware linking with edge payload handover.
 
-Parent pointers are left stale when nodes merge; a union-find layer resolves
-any stored pointer to the live representative. Tree sizes live on roots.
+Merged nodes resolve to their live representative through union-find links
+kept on the nodes themselves (`dsu._set_root`, union by size with path
+compression). A parent pointer left stale by a merge is rewritten to its
+representative the next time `parent_of` reads it, and a merged node drops
+its own tree links, so the forest holds no reference to a dead node beyond
+the stale pointers still waiting to be read. Tree sizes live on roots.
 Path discovery is the marked two-pointer climb of `climb.meet_paths`, shared
 with the decomposition tree and the cactus forest, so it costs O(|path|)
 without any depth bookkeeping.
@@ -13,7 +17,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from .climb import meet_paths
-from .dsu import DsuForest
+from .dsu import _set_root, _unite_nodes
 
 
 class BlockTreeError(Exception):
@@ -33,15 +37,17 @@ class SameTreeError(BlockTreeError):
 
 
 class BlockTreeNode:
-    __slots__ = ("id", "handle", "parent", "edge", "size", "item", "_mark")
+    __slots__ = ("id", "handle", "parent", "edge", "size", "_up", "_rep", "_n", "_mark")
 
-    def __init__(self, node_id: int, handle: Any, item: int):
+    def __init__(self, node_id: int, handle: Any):
         self.id = node_id
         self.handle = handle
         self.parent: Optional[BlockTreeNode] = None
         self.edge: Any = None  # payload of (self, parent); None at roots
         self.size = 1  # meaningful at roots only
-        self.item = item
+        self._up: Optional[BlockTreeNode] = None  # union-find link; None at set roots
+        self._rep = self  # live node of the merged set, read at set roots only
+        self._n = 1  # merged-set size, read at set roots only
         self._mark = False
 
     def __repr__(self) -> str:
@@ -50,27 +56,26 @@ class BlockTreeNode:
 
 class BlockForest:
     def __init__(self) -> None:
-        self._dsu = DsuForest()
         self._serial = 0
         self.reroot_touches = 0  # nodes handed over across all rerootings
 
     def new_node(self, handle: Any) -> BlockTreeNode:
         self._serial += 1
-        node = BlockTreeNode(self._serial, handle, 0)
-        node.item = self._dsu.make_set(node)
-        return node
+        return BlockTreeNode(self._serial, handle)
 
     # -- resolution helpers -------------------------------------------
 
     def representative(self, node: BlockTreeNode) -> BlockTreeNode:
-        return self._dsu.label_of(node.item)
+        return _set_root(node)._rep
 
     def is_live(self, node: BlockTreeNode) -> bool:
         return self.representative(node) is node
 
     def parent_of(self, node: BlockTreeNode) -> Optional[BlockTreeNode]:
         p = node.parent
-        return None if p is None else self.representative(p)
+        if p is not None:
+            p = node.parent = self.representative(p)
+        return p
 
     def root_path(self, node: BlockTreeNode) -> list[BlockTreeNode]:
         """Live nodes from `node` up to its tree root, inclusive."""
@@ -78,9 +83,6 @@ class BlockForest:
         while (p := self.parent_of(path[-1])) is not None:
             path.append(p)
         return path
-
-    def tree_size(self, node: BlockTreeNode) -> int:
-        return self.root_path(node)[-1].size
 
     # -- operations ----------------------------------------------------
 
@@ -108,7 +110,8 @@ class BlockForest:
 
         for n in nodes:
             if n is not meet:
-                self._dsu.unite(n.item, meet.item, meet)
+                _unite_nodes(n, meet, meet)
+                n.parent = n.edge = None
         root = self.root_path(meet)[-1]
         root.size -= len(nodes) - 1
         # the caller binds a fresh handle to the merged node; the stale one

@@ -10,9 +10,15 @@ A cycle node points at the list entry of its parent real node; the parent
 keeps no back pointer, since one real node may be the parent of many cycles.
 Non-parent members keep a bidirectional link with their entry.
 
-Real nodes merge through a union-find layer, so stored real-node references
-must be resolved through `representative` before use. Cycle nodes never
-merge.
+Real nodes merge through union-find links kept on the nodes themselves
+(`dsu._set_root`, union by size with path compression), so stored real-node
+references must be resolved through `representative` before use;
+`cycle_parent` rewrites a stale cycle parent to its representative as it
+reads it, and a merged node drops its own parent and entry links. Cycle
+nodes never merge. A cycle leaves `cycles()` when its list dissolves or when
+the decomposition tree discards its cactus (`_retire_cycle_above`), so the
+forest refers only to live cycles; the origin of each cycle keeps that join's
+walk budget, and `walk_touches` counts every walk step forest-wide.
 
 Both public merges run one squeeze, `_squeeze(u, v, ve, cyc)`: a child member
 u of cyc merges into v, whose entry on cyc is ve (v's member entry when v is a
@@ -29,7 +35,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from .climb import meet_paths
-from .dsu import DsuForest
+from .dsu import _set_root, _unite_nodes
 
 
 class CactusError(Exception):
@@ -75,7 +81,7 @@ class ListEntry:
 
 
 class RealNode:
-    __slots__ = ("id", "handle", "parent", "entry", "size", "item", "_mark")
+    __slots__ = ("id", "handle", "parent", "entry", "size", "_up", "_rep", "_n", "_mark")
 
     def __init__(self, node_id: int, handle: Any):
         self.id = node_id
@@ -83,7 +89,9 @@ class RealNode:
         self.parent: Optional[CycleNode] = None
         self.entry: Optional[ListEntry] = None  # member entry in parent's list
         self.size = 1  # meaningful at roots only
-        self.item = 0
+        self._up: Optional[RealNode] = None  # union-find link; None at set roots
+        self._rep = self  # live node of the merged set, read at set roots only
+        self._n = 1  # merged-set size, read at set roots only
         self._mark = False
 
     def __repr__(self) -> str:
@@ -95,7 +103,7 @@ class CycleNode:
 
     def __init__(self, node_id: int, origin: OriginCycle):
         self.id = node_id
-        self.parent: Optional[RealNode] = None  # may be stale; resolve via dsu
+        self.parent: Optional[RealNode] = None  # may be stale; see cycle_parent
         self.parent_entry: Optional[ListEntry] = None
         self.origin = origin
         self._mark = False
@@ -106,28 +114,26 @@ class CycleNode:
 
 class CactusForest:
     def __init__(self) -> None:
-        self._dsu = DsuForest()
         self._serial = 0
         self._cycles: set[CycleNode] = set()
-        self.origins: list[OriginCycle] = []
         self.reroot_touches = 0
+        self.walk_touches = 0  # list entries stepped over by split walks
 
     def new_node(self, handle: Any) -> RealNode:
         self._serial += 1
-        node = RealNode(self._serial, handle)
-        node.item = self._dsu.make_set(node)
-        return node
+        return RealNode(self._serial, handle)
 
     # -- resolution helpers ---------------------------------------------
 
     def representative(self, node: RealNode) -> RealNode:
-        return self._dsu.label_of(node.item)
+        return _set_root(node)._rep
 
     def is_live(self, node: RealNode) -> bool:
         return self.representative(node) is node
 
     def cycle_parent(self, cyc: CycleNode) -> RealNode:
-        return self.representative(cyc.parent)
+        p = cyc.parent = self.representative(cyc.parent)
+        return p
 
     def root_path(self, node: RealNode) -> list:
         """Alternating real/cycle nodes from `node` up to its cactus root."""
@@ -136,9 +142,6 @@ class CactusForest:
             path.append(cyc)
             path.append(self.cycle_parent(cyc))
         return path
-
-    def cactus_size(self, node: RealNode) -> int:
-        return self.root_path(node)[-1].size
 
     def cycles(self) -> set[CycleNode]:
         return set(self._cycles)
@@ -238,7 +241,6 @@ class CactusForest:
                 self._reroot(paths[i])
 
         origin = OriginCycle(k)
-        self.origins.append(origin)
         self._serial += 1
         cyc = CycleNode(self._serial, origin)
         entries = [ListEntry(r) for r in lives]
@@ -265,7 +267,14 @@ class CactusForest:
     # -- squeezing ----------------------------------------------------------
 
     def _merge(self, dead: RealNode, live: RealNode) -> None:
-        self._dsu.unite(dead.item, live.item, live)
+        _unite_nodes(dead, live, live)
+        dead.parent = dead.entry = None
+
+    def _retire_cycle_above(self, node: RealNode) -> None:
+        """Forget the cycle that `node` hangs from, if any: the caller has
+        discarded the cactus that holds it."""
+        if node.parent is not None:
+            self._cycles.discard(node.parent)
 
     def _squeeze(self, u: RealNode, v: RealNode, ve: ListEntry, cyc: CycleNode) -> list[Any]:
         """Merge child member u of cyc into v, whose entry on cyc is ve.
@@ -331,6 +340,7 @@ class CactusForest:
         for e in marked:
             e._mark = False
         origin.walk_touches += touches
+        self.walk_touches += touches
         return (z is ve, seen_a) if z is ve else (False, seen_b)
 
     def _split(self, ue: ListEntry, v: RealNode, ve: ListEntry, cyc: CycleNode) -> None:

@@ -14,6 +14,11 @@ and rewrites only that node's attached structure; interconnection edges that
 fall inside a freshly merged 3-ecc go on a worklist of owed insertions, which
 `insert_edge` drains before it returns. Each re-insertion pushes its edge to
 a deeper level, so no call stack grows with the depth of the tree.
+
+A node that leaves the tree, merged into a sibling or dropped with a
+condensed subtree, lets go of its children and its forest node lets go of
+it; a dropped cactus also retires its cycles. What the engine holds is then
+proportional to its live tree, the paper's O(n) space.
 """
 
 from __future__ import annotations
@@ -157,7 +162,7 @@ class DecompTree:
         # repeat the insertion after the displaced edges; it now lands
         # strictly deeper
         self._owed.append((x, y))
-        self._merge3ecc(nca, [q.handle for q in q_nodes], q_payloads, z_real)
+        self._merge3ecc([q.handle for q in q_nodes], q_payloads, z_real)
 
     def _insert_at_component(self, path_x, path_y, x: int, y: int) -> None:
         """The new edge bridges two connected components: merge the 1-ecc
@@ -200,7 +205,7 @@ class DecompTree:
             q_nodes, q_payloads, z_real = self._cf.compress_cycle_path(
                 a.cx_node, b.cx_node
             )
-            d = self._merge3ecc(xs[i], [q.handle for q in q_nodes], q_payloads, z_real)
+            d = self._merge3ecc([q.handle for q in q_nodes], q_payloads, z_real)
             merged3.append(d)
 
         survivor = self._merge_siblings(xs)
@@ -210,7 +215,7 @@ class DecompTree:
             [d.cx_node for d in merged3], b_payloads + [(x, y)]
         )
 
-    def _merge3ecc(self, parent2ecc, d_nodes, payloads, z_real) -> DecompNode:
+    def _merge3ecc(self, d_nodes, payloads, z_real) -> DecompNode:
         """Merge 3-ecc siblings into one node and owe a re-insertion to the
         cactus edges that became internal to it. Former leaves get a fresh
         trivial chain first, so the merged node's subtree decomposes them
@@ -233,16 +238,22 @@ class DecompTree:
 
     def _merge_siblings(self, nodes: list[DecompNode]) -> DecompNode:
         """Redirect children of the smaller nodes into the one with the most
-        children; the others are discarded from the tree."""
+        children; the others are discarded from the tree. The caller has
+        merged their forest nodes and binds the merged one to the survivor,
+        so none of the old forest nodes keeps its handle."""
         survivor = max(nodes, key=lambda nd: len(nd.children))
         parent = survivor.parent
         for nd in nodes:
+            fnode = nd.bt_node or nd.cx_node
+            if fnode is not None:
+                fnode.handle = None
             if nd is survivor:
                 continue
             for ch in nd.children:
                 ch.parent = survivor
             survivor.children |= nd.children
             parent.children.discard(nd)
+            nd.children = None
         return survivor
 
     def _condense(self, nca: DecompNode, z_real) -> None:
@@ -265,14 +276,23 @@ class DecompTree:
             d.cx_node = z_real
 
     def _collect_leaves(self, top: DecompNode) -> list[DecompNode]:
+        """Leaves below `top`, whose subtree the caller drops: the walk
+        unbinds every dropped node from its forest node, empties the internal
+        ones and retires the cycles of every cactus in the subtree."""
         out = []
         stack = list(top.children)
         while stack:
             nd = stack.pop()
+            if nd.bt_node is not None:
+                nd.bt_node.handle = None
+            elif nd.cx_node is not None:
+                nd.cx_node.handle = None
+                self._cf._retire_cycle_above(nd.cx_node)
             if nd.dsu_item is not None:
                 out.append(nd)
             else:
                 stack.extend(nd.children)
+                nd.children = None
         return out
 
     def _unite_leaves(self, leaves: list[DecompNode], new_leaf: DecompNode) -> None:
@@ -307,9 +327,11 @@ class DecompTree:
     # -- structural audit -------------------------------------------------------
 
     def validate(self) -> None:
-        """Debug audit: levels, handle bijections, and the leaf/DSU
-        correspondence. Raises DecompError on any violation."""
+        """Debug audit: levels, handle bijections, the leaf/DSU
+        correspondence, and that the cactus forest holds exactly the cycles
+        of the live cactuses. Raises DecompError on any violation."""
         leaves = []
+        cycles = set()
         stack = [self.root]
         while stack:
             node = stack.pop()
@@ -332,6 +354,10 @@ class DecompTree:
                 self._check_binding(node, self._bf, "bt_node")
             elif kind == 2:
                 self._check_binding(node, self._cf, "cx_node")
+                cycles.update(ch.cx_node.parent for ch in node.children)
+        cycles.discard(None)
+        if cycles != self._cf.cycles():
+            raise DecompError("cactus forest cycles differ from the live cactuses'")
         if len(leaves) != self._dsu.num_sets:
             raise DecompError("leaf count disagrees with class count")
         for lf in leaves:

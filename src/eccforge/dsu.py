@@ -3,7 +3,17 @@
 Internally union-by-size with path compression; the external label stored at
 each root lets callers dictate which object "survives" a union without
 sacrificing balance. Member enumeration uses intrusive circular lists spliced
-in O(1) per union, so listing a set costs time proportional to its size.
+in O(1) per union, so listing a set costs time proportional to its size. A
+union clears the losing root's label, so the lists refer only to the labels
+of live sets.
+
+The block and cactus forests merge their nodes with the same discipline, but
+on the node objects themselves rather than through a `DsuForest`:
+`_set_root` climbs a node's `_up` pointers (None at a set root) with path
+compression, and `_unite_nodes` links by the set size `_n` and stores the
+caller's label, the merged set's live node, in the root's `_rep`. No table
+lists the nodes, so a merged node is freed once neither its set's links nor
+a stale pointer in its forest reaches it.
 """
 
 from __future__ import annotations
@@ -77,6 +87,7 @@ class DsuForest:
         self._parent[rb] = ra
         self._size[ra] += self._size[rb]
         self._label[ra] = rep_label
+        self._label[rb] = None
         self._next[ra], self._next[rb] = self._next[rb], self._next[ra]
         self.num_sets -= 1
 
@@ -96,3 +107,25 @@ class DsuForest:
 
     def roots(self) -> list[int]:
         return [x for x in range(len(self._parent)) if self._parent[x] == x]
+
+
+def _set_root(node: Any) -> Any:
+    """Root of a forest node's merged set, compressing the path to it."""
+    root = node
+    while root._up is not None:
+        root = root._up
+    while node is not root:
+        node._up, node = root, node._up
+    return root
+
+
+def _unite_nodes(a: Any, b: Any, label: Any) -> None:
+    """Merge the sets of forest nodes a and b; `label` represents the union."""
+    ra, rb = _set_root(a), _set_root(b)
+    if ra is not rb:
+        if ra._n < rb._n:
+            ra, rb = rb, ra
+        rb._up = ra
+        rb._rep = None
+        ra._n += rb._n
+    ra._rep = label

@@ -16,7 +16,7 @@ def test_new_node_singleton():
     bf = BlockForest()
     a = bf.new_node("H")
     assert a.handle == "H"
-    assert bf.tree_size(a) == 1
+    assert bf.root_path(a)[-1].size == 1
     b = bf.new_node("I")
     assert bf.root_path(a)[-1] is not bf.root_path(b)[-1]
     with pytest.raises(SameNodeError):
@@ -30,7 +30,7 @@ def test_two_node_compress():
     nodes, payloads, z = bf.compress_path(a, b)
     assert set(nodes) == {a, b} and payloads == ["p"]
     assert bf.representative(a) is z and bf.representative(b) is z
-    assert bf.tree_size(z) == 1
+    assert bf.root_path(z)[-1].size == 1
 
 
 def test_chain_compress_order():
@@ -89,12 +89,28 @@ def test_join_reroots_smaller_and_payloads_survive():
     assert payloads == ["xy", "bridge", "st", "rs"]
 
 
+def test_merged_nodes_let_go():
+    bf = BlockForest()
+    a, b, c, d = (bf.new_node(k) for k in "abcd")
+    bf.join_trees(a, b, "ab")
+    bf.join_trees(c, b, "cb")
+    bf.join_trees(d, a, "da")
+    nodes, payloads, z = bf.compress_path(a, c)
+    assert z is b and set(nodes) == {a, b, c}
+    # merged nodes drop their tree links; an outside child's stale parent
+    # pointer is rewritten to the merged node when it is read
+    assert a.parent is a.edge is c.parent is c.edge is None
+    assert d.parent is a
+    assert bf.parent_of(d) is b and d.parent is b and d.edge == "da"
+    assert bf.is_live(b) and not bf.is_live(a) and not bf.is_live(c)
+
+
 def test_repeated_joins_single_tree():
     bf = BlockForest()
     nodes = [bf.new_node(i) for i in range(30)]
     for i in range(1, 30):
         bf.join_trees(nodes[i], nodes[0], i)
-    assert bf.tree_size(nodes[0]) == 30
+    assert bf.root_path(nodes[0])[-1].size == 30
 
 
 def _random_shadow_run(seed, steps, n_seed_nodes):

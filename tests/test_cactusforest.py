@@ -30,7 +30,7 @@ def expanded_counter(cf):
 def test_new_node_and_errors():
     cf = CactusForest()
     a = cf.new_node("H")
-    assert cf.cactus_size(a) == 1
+    assert cf.root_path(a)[-1].size == 1
     with pytest.raises(SameNodeError):
         cf.compress_cycle_path(a, a)
     b = cf.new_node("I")
@@ -284,7 +284,8 @@ def test_segment_walk_bound_single_cycle():
     cf = CactusForest()
     nodes = [cf.new_node(i) for i in range(k)]
     cf.join_cactuses(nodes, list(range(k)))
-    origin = cf.origins[0]
+    (cycle,) = cf.cycles()
+    origin = cycle.origin
     rng = random.Random(1)
     live = set(nodes)
     while len({id(cf.representative(n)) for n in live}) > 1:
@@ -300,3 +301,6 @@ def test_segment_walk_bound_single_cycle():
         x, y = rng.sample(reps, 2)
         cf.compress_cycle_path(x, y)
     assert origin.walk_touches <= 4 * k * math.ceil(math.log2(k))
+    # the forest-wide count is this origin's alone, and no cycle is left
+    assert cf.walk_touches == origin.walk_touches
+    assert not cf.cycles()

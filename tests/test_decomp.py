@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 import sys
@@ -5,8 +6,10 @@ import sys
 import pytest
 
 from eccforge import DecompTree, Multigraph, maximal_kec_bruteforce
+from eccforge.blockforest import BlockTreeNode
+from eccforge.cactusforest import CycleNode, ListEntry, RealNode
 from eccforge.decomp import DecompError, DecompNode
-from eccforge.gen import staircase_sequence, random_insertion_sequence
+from eccforge.gen import planted_clusters, staircase_sequence, random_insertion_sequence
 from eccforge.graph import SelfLoopError, UnknownVertexError
 
 
@@ -299,6 +302,51 @@ def test_tree_size_stays_linear():
         assert count_nodes(tree) <= 6 * tree.n_vertices + 1
 
 
+ENGINE_TYPES = (DecompNode, BlockTreeNode, RealNode, ListEntry, CycleNode)
+
+
+def _engine_objects():
+    gc.collect()
+    counts = dict.fromkeys(ENGINE_TYPES, 0)
+    for obj in gc.get_objects():
+        if type(obj) in counts:
+            counts[type(obj)] += 1
+    return counts
+
+
+def _planted_stream(n):
+    rng = random.Random(12)
+    g = planted_clusters(rng, n // 8, 8, 24, n // 8 + 32)
+    edges = [g.endpoints(e) for e in g.edge_ids()]
+    rng.shuffle(edges)
+    return edges
+
+
+@pytest.mark.parametrize(
+    "n, edges",
+    [(128, staircase_sequence(128)), (1024, _planted_stream(1024))],
+    ids=["staircase-128", "planted-1024"],
+)
+def test_engine_holds_only_live_structure(n, edges):
+    # O(n) space: what the engine keeps of each node type stays within a
+    # constant factor of the live tree, however many nodes it made and
+    # discarded on the way (the staircase makes Theta(n^2) of them)
+    before = _engine_objects()
+    tree, _ = replay(edges, n)
+    added = _engine_objects()
+    live = 0
+    stack = [tree.root]
+    while stack:
+        live += 1
+        stack.extend(stack.pop().children)
+    for kind in ENGINE_TYPES:
+        held = added[kind] - before[kind]
+        assert held <= 4 * live, f"{held} {kind.__name__}s held for {live} tree nodes"
+    # and no discarded tree node outlives its discarding
+    assert added[DecompNode] - before[DecompNode] == live
+    tree.validate()
+
+
 def _give_leaf_a_child(tree, by_level):
     leaf = by_level[3][0]
     leaf.children.add(DecompNode(leaf))
@@ -334,6 +382,15 @@ def _make_2ecc_a_leaf(tree, by_level):
     node.children = set()
 
 
+def _leak_a_cycle(tree, by_level):
+    cf = tree._cf
+    cf.join_cactuses([cf.new_node(None), cf.new_node(None)], [None, None])
+
+
+def _forget_live_cycles(tree, by_level):
+    tree._cf._cycles.clear()
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -344,6 +401,8 @@ def _make_2ecc_a_leaf(tree, by_level):
         _drop_cactus_node,
         _swap_leaf_items,
         _make_2ecc_a_leaf,
+        _leak_a_cycle,
+        _forget_live_cycles,
     ],
 )
 def test_validate_catches_corruption(corrupt):

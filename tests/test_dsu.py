@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from eccforge.dsu import DsuForest, NotARootError, UnknownItemError
+from eccforge.blockforest import BlockTreeNode
+from eccforge.dsu import DsuForest, NotARootError, UnknownItemError, _set_root, _unite_nodes
 
 
 def test_make_set_singleton():
@@ -26,6 +27,36 @@ def test_unite_label_decoupling():
     d.unite(items[0], items[3], "small-wins")
     assert d.label_of(items[1]) == "small-wins"
     assert d.root_of(items[4]) == d.root_of(items[0])
+
+
+def test_unite_releases_losing_label():
+    # only live sets keep a label, so a union frees what the loser's named
+    d = DsuForest()
+    items = [d.make_set(object()) for _ in range(6)]
+    for x in items[1:4]:
+        d.unite(items[0], x, "A")
+    d.unite(items[4], items[5], "B")
+    assert d.label_of(items[3]) == "A" and d.label_of(items[5]) == "B"
+    assert sum(label is not None for label in d._label) == d.num_sets == 2
+
+
+def test_forest_nodes_unite_by_size():
+    # each new node is united with the previous one and named the
+    # representative; union by size keeps the first node the set root, so no
+    # link chain grows with the number of unions
+    nodes = [BlockTreeNode(i, None) for i in range(64)]
+    for prev, node in zip(nodes, nodes[1:]):
+        _unite_nodes(node, prev, node)
+
+    def links(x):
+        n = 0
+        while x._up is not None:
+            x, n = x._up, n + 1
+        return n
+
+    assert max(links(x) for x in nodes) <= 6
+    assert all(_set_root(x)._rep is nodes[-1] for x in nodes)
+    assert _set_root(nodes[0])._n == 64
 
 
 def test_unite_same_set_relabels_only():
