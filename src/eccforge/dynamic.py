@@ -20,6 +20,16 @@ t = ceil(4k log2 n). Below that a tree of certificates is bookkeeping; above
 it, rebuilding certificates along a tree path on every update costs far more
 than the thinner class saves. The class keeps its name for its callers.
 
+The flow check of a delete stays near u and v, in the spirit of the local
+cut algorithms of Forster et al. (SODA 2020). It first takes the short
+paths: the parallel u-v copies left, then one u-w-v path through each
+common neighbour w in C, and stops once it holds k. Each path still missing
+is one augmenting search of C's residual graph, grown a level at a time from
+whichever of u and v has the smaller frontier, until the two searches meet;
+when either runs dry, C splits. On a random graph with one giant class such
+a check reads a few dozen adjacency rows, where a search from u alone reads
+over a third of C.
+
 Flows and solves read the adjacency itself, restricted to the class or the
 component (`solver.kec_classes`), so no update builds a graph. Only the build
 solves the whole graph. Queries are constant-time lookups in the cached
@@ -32,6 +42,54 @@ from .graph import Multigraph, SelfLoopError, UnknownEdgeError, UnknownVertexErr
 from .solver import Partition, kec_classes
 
 
+def _push(flow: dict[int, dict[int, int]], x: int, y: int, units: int) -> None:
+    """Send `units` of flow from x to y: net(x, y) += units, net(y, x) -= units."""
+    for a, b, step in ((x, y, units), (y, x, -units)):
+        row = flow.setdefault(a, {})
+        row[b] = row.get(b, 0) + step
+
+
+def _augment(
+    adj: dict[int, dict[int, int]],
+    class_of: dict[int, int],
+    c: int,
+    s: int,
+    t: int,
+    flow: dict[int, dict[int, int]],
+) -> bool:
+    """Push one more unit along an s-t path of the residual graph of class c,
+    if there is one. The search grows a level at a time from whichever end
+    has the smaller frontier, and stops where the two trees meet."""
+    # trees[0] maps a vertex to its parent toward s, trees[1] toward t. Tree 0
+    # follows arcs x -> y with spare capacity mult - net(x, y), tree 1 follows
+    # them backwards, y <- x with spare mult + net(x, y): both read as
+    # mult > sign * net(x, y) for the growing tree's sign.
+    trees = ({s: s}, {t: t})
+    fronts = [[s], [t]]
+    while fronts[0] and fronts[1]:
+        i = 0 if len(fronts[0]) <= len(fronts[1]) else 1
+        tree, other, sign = trees[i], trees[1 - i], 1 - 2 * i
+        grown = []
+        for x in fronts[i]:
+            used = flow.get(x)
+            for y, mult in adj[x].items():
+                if y in tree or class_of[y] != c or (
+                    used and mult <= sign * used.get(y, 0)
+                ):
+                    continue
+                if y in other:
+                    _push(flow, x, y, sign)
+                    for v, tr, step in ((x, tree, sign), (y, other, -sign)):
+                        while (p := tr[v]) != v:
+                            _push(flow, p, v, step)
+                            v = p
+                    return True
+                tree[y] = x
+                grown.append(y)
+        fronts[i] = grown
+    return False
+
+
 def _has_k_paths(
     adj: dict[int, dict[int, int]],
     class_of: dict[int, int],
@@ -41,31 +99,26 @@ def _has_k_paths(
     k: int,
 ) -> bool:
     """Whether the multigraph `adj` (vertex -> {neighbour: multiplicity}),
-    restricted to the vertices of class c, holds k edge-disjoint s-t paths: a
-    unit-capacity flow of at most k augmenting BFS passes."""
+    restricted to the vertices of class c, holds k edge-disjoint s-t paths.
+
+    A unit-capacity flow that stays near s and t. It starts from the short
+    paths: the parallel s-t copies, then one s-w-t path through each common
+    neighbour w in the class. These are edge-disjoint, so they form a
+    feasible flow, and augmenting paths take any feasible flow to a maximum
+    one. Each missing path is then one two-ended search (`_augment`)."""
     flow: dict[int, dict[int, int]] = {}  # x -> {y: net flow x to y}, used pairs only
-    for _ in range(k):
-        prev = {s: s}
-        queue = [s]
-        for x in queue:  # the loop also visits what it appends
-            used = flow.get(x)
-            for y, mult in adj[x].items():
-                if y in prev or class_of[y] != c or (used and used.get(y, 0) >= mult):
-                    continue
-                prev[y] = x
-                queue.append(y)
-            if t in prev:
-                break
-        if t not in prev:
-            return False
-        y = t
-        while y != s:
-            x = prev[y]
-            for a, b, step in ((x, y, 1), (y, x, -1)):
-                row = flow.setdefault(a, {})
-                row[b] = row.get(b, 0) + step
-            y = x
-    return True
+    row_s, row_t = adj[s], adj[t]
+    paths = row_s.get(t, 0)
+    if paths:
+        _push(flow, s, t, paths)
+    for w in row_s.keys() & row_t.keys():
+        if paths >= k:
+            return True
+        if class_of[w] == c:
+            _push(flow, s, w, 1)
+            _push(flow, w, t, 1)
+            paths += 1
+    return all(_augment(adj, class_of, c, s, t, flow) for _ in range(paths, k))
 
 
 class SparsTree:
@@ -73,11 +126,13 @@ class SparsTree:
     and deletes, on the vertices of `g`.
 
     An update changes the adjacency by one edge and, for a delete inside a
-    class, runs at most k BFS passes. Solves are left to rarer events: a
-    delete whose flow falls short solves its class, and an insert between
-    classes solves its component's quotient. The name is kept for its
-    callers; the engine holds no sparsification tree (see the module
-    docstring).
+    class, checks for k edge-disjoint paths between the edge's ends: the
+    short ones (parallel copies, then paths through common neighbours)
+    first, then one two-ended augmenting search per path still missing.
+    Solves are left to rarer events: a delete whose check falls short solves
+    its class, and an insert between classes solves its component's
+    quotient. The name is kept for its callers; the engine holds no
+    sparsification tree (see the module docstring).
 
     Counters: `full_solves` (solves of the whole graph) and `flow_checks`
     (deletes inside a class). `rebuilds` is always 1, the build, and

@@ -9,6 +9,7 @@ from eccforge.dynamic import _has_k_paths
 from eccforge.gen import random_dynamic_stream
 from eccforge.graph import SelfLoopError, UnknownEdgeError, UnknownVertexError
 from eccforge.oracle import edge_connectivity
+from eccforge.solver import Partition, kec_classes
 
 
 def k4_pair():
@@ -205,7 +206,7 @@ def _pair(rng, n):
 
 def test_scoped_updates_match_oracle():
     rng = random.Random(0x5C0DE)
-    for k in (1, 2, 3, 4, 5):
+    for k in (1, 2, 3, 4, 5, 6):
         for _ in range(20):
             n = rng.randint(2, 10)
             # sparse streams split and merge classes; dense ones (up to 25n
@@ -288,6 +289,77 @@ def test_has_k_paths_ignores_a_path_that_leaves_the_class():
     adj = _adjacency(3, [(1, 2), (1, 2), (1, 3), (3, 2)])
     assert _has_k_paths(adj, {1: 0, 2: 0, 3: 0}, 0, 1, 2, 3)
     assert not _has_k_paths(adj, {1: 0, 2: 0, 3: 1}, 0, 1, 2, 3)
+
+
+def test_has_k_paths_matches_flow_oracle_past_the_short_paths():
+    """Dense multigraphs of 10-40 vertices, where the parallel s-t copies and
+    the s-w-t paths through common neighbours often fall short of k, so the
+    two-ended augmenting search has to find the rest or the cut."""
+    rng = random.Random(0xB1D)
+    answers = Counter()
+    searched = 0
+    for _ in range(300):
+        n = rng.randint(10, 40)
+        k = rng.randint(1, 6)
+        classes = rng.randint(1, 3)
+        edges = [_pair(rng, n) for _ in range(rng.randint(2 * n, 6 * n))]
+        class_of = {x: rng.randrange(classes) for x in range(1, n + 1)}
+        c = rng.randrange(classes)
+        members = [x for x in class_of if class_of[x] == c]
+        if len(members) < 2:
+            continue
+        s, t = rng.sample(members, 2)
+        adj = _adjacency(n, edges)
+        short = adj[s].get(t, 0) + sum(
+            class_of[w] == c for w in adj[s].keys() & adj[t].keys()
+        )
+        searched += short < k
+        g = _graph_of(n, edges)
+        inside = [
+            e for e in g.edge_ids() if all(class_of[x] == c for x in g.endpoints(e))
+        ]
+        want = edge_connectivity(g.subgraph_with_edges(inside), s, t) >= k
+        got = _has_k_paths(adj, class_of, c, s, t, k)
+        assert got == want, (n, k, edges, class_of, s, t)
+        answers[got] += 1
+    assert searched >= 50
+    assert answers[True] > 20 and answers[False] > 20
+
+
+class _RowCounter(dict):
+    """An adjacency that counts the rows read through it."""
+
+    reads = 0
+
+    def __getitem__(self, x):
+        self.reads += 1
+        return super().__getitem__(x)
+
+
+def test_has_k_paths_reads_only_rows_near_the_deleted_edge():
+    """On a random m = 6n multigraph at n = 4 096, one giant class at k = 3, a
+    delete's check reads a few dozen adjacency rows (median 48 here), where
+    a search grown from s alone reads a share of the class (median 2 404)."""
+    rng = random.Random(0x10C)
+    n, k = 4096, 3
+    edges = [_pair(rng, n) for _ in range(6 * n)]
+    adj = _adjacency(n, edges)
+    part = Partition.from_classes(kec_classes(adj, adj.keys(), k))
+    c = max(range(len(part.classes)), key=lambda i: len(part.classes[i]))
+    assert len(part.classes[c]) > n // 2
+    inside = [e for e in edges if part.class_of[e[0]] == part.class_of[e[1]] == c]
+    reads = []
+    for u, v in rng.sample(inside, 30):
+        for a, b in ((u, v), (v, u)):  # rows hold no zero multiplicities
+            adj[a][b] -= 1
+            if not adj[a][b]:
+                del adj[a][b]
+        counted = _RowCounter(adj)
+        _has_k_paths(counted, part.class_of, c, u, v, k)
+        reads.append(counted.reads)
+        for a, b in ((u, v), (v, u)):
+            adj[a][b] = adj[a].get(b, 0) + 1
+    assert max(reads) <= 256, reads
 
 
 def test_adjacency_follows_every_update():
