@@ -37,10 +37,9 @@ class SameTreeError(BlockTreeError):
 
 
 class BlockTreeNode:
-    __slots__ = ("id", "handle", "parent", "edge", "size", "_up", "_rep", "_n", "_mark")
+    __slots__ = ("handle", "parent", "edge", "size", "_up", "_rep", "_n", "_mark")
 
-    def __init__(self, node_id: int, handle: Any):
-        self.id = node_id
+    def __init__(self, handle: Any):
         self.handle = handle
         self.parent: Optional[BlockTreeNode] = None
         self.edge: Any = None  # payload of (self, parent); None at roots
@@ -50,18 +49,13 @@ class BlockTreeNode:
         self._n = 1  # merged-set size, read at set roots only
         self._mark = False
 
-    def __repr__(self) -> str:
-        return f"BlockTreeNode({self.id})"
-
 
 class BlockForest:
     def __init__(self) -> None:
-        self._serial = 0
         self.reroot_touches = 0  # nodes handed over across all rerootings
 
     def new_node(self, handle: Any) -> BlockTreeNode:
-        self._serial += 1
-        return BlockTreeNode(self._serial, handle)
+        return BlockTreeNode(handle)
 
     # -- resolution helpers -------------------------------------------
 

@@ -2,9 +2,10 @@
 
 Each cactus is stored as a rooted tree that alternates "real" nodes (the
 cactus vertices) and "cycle" nodes. Every cycle node owns a circular doubly
-linked list with one entry per cactus vertex on that cycle; entries carry the
-payloads of the two incident cycle edges (entry.right_edge is the payload of
-the edge towards entry.right, and always equals entry.right.left_edge).
+linked list with one entry per cactus vertex on that cycle. Each cycle edge's
+payload is stored once, on its left entry: entry.right_edge is the payload of
+the edge towards entry.right, so the edge towards entry.left carries
+entry.left.right_edge.
 
 A cycle node points at the list entry of its parent real node; the parent
 keeps no back pointer, since one real node may be the parent of many cycles.
@@ -12,22 +13,23 @@ Non-parent members keep a bidirectional link with their entry.
 
 Real nodes merge through union-find links kept on the nodes themselves
 (`dsu._set_root`, union by size with path compression), so stored real-node
-references must be resolved through `representative` before use;
-`cycle_parent` rewrites a stale cycle parent to its representative as it
-reads it, and a merged node drops its own parent and entry links. Cycle
-nodes never merge. A cycle leaves `cycles()` when its list dissolves or when
-the decomposition tree discards its cactus (`_retire_cycle_above`), so the
-forest refers only to live cycles; the origin of each cycle keeps that join's
-walk budget, and `walk_touches` counts every walk step forest-wide.
+references must be resolved through `representative` before use. A cycle
+stores no parent of its own: `cycle_parent` resolves the real node of its
+parent entry, so no merge leaves a stale cycle parent behind, and a merged
+node drops its own parent and entry links. Cycle nodes never merge. A cycle
+leaves `cycles()` when its list dissolves or when the decomposition tree
+discards its cactus (`_retire_cycle_above`), so the forest refers only to
+live cycles; the origin of each cycle keeps that join's walk budget, and
+`walk_touches` counts every walk step forest-wide.
 
-Both public merges run one squeeze, `_squeeze(u, v, ve, cyc)`: a child member
-u of cyc merges into v, whose entry on cyc is ve (v's member entry when v is a
-sibling, cyc.parent_entry when v is the cycle's parent). When u's entry
-neighbours ve, the entry is unlinked and its shared edge returned; a 2-entry
-list dissolves. Otherwise the cycle splits: the shorter arc strictly between
-the two entries, closed by a fresh entry for v, becomes a new cycle, and the
-rest of the list keeps ve. Only the arc's members change cycle, so a split
-costs O(shorter arc).
+compress_cycle_path merges through one squeeze per cycle on the path,
+`_squeeze(u, v, ve, cyc)`: a child member u of cyc merges into v, whose entry
+on cyc is ve (v's member entry when v is a sibling, cyc.parent_entry when v
+is the cycle's parent). When u's entry neighbours ve, the entry is unlinked
+and its shared edge returned; a 2-entry list dissolves. Otherwise the cycle
+splits: the shorter arc strictly between the two entries, closed by a fresh
+entry for v, becomes a new cycle, and the rest of the list keeps ve. Only the
+arc's members change cycle, so a split costs O(shorter arc).
 """
 
 from __future__ import annotations
@@ -54,10 +56,6 @@ class DuplicateCactusError(CactusError):
     pass
 
 
-class NotOnCycleError(CactusError):
-    pass
-
-
 class OriginCycle:
     """Accounting record for one cycle introduced by join_cactuses."""
 
@@ -69,22 +67,19 @@ class OriginCycle:
 
 
 class ListEntry:
-    __slots__ = ("real", "left", "right", "left_edge", "right_edge", "_mark")
+    __slots__ = ("real", "left", "right", "right_edge")
 
     def __init__(self, real: "RealNode"):
         self.real = real
         self.left: "ListEntry" = self
         self.right: "ListEntry" = self
-        self.left_edge: Any = None
-        self.right_edge: Any = None
-        self._mark = False
+        self.right_edge: Any = None  # payload of the edge towards self.right
 
 
 class RealNode:
-    __slots__ = ("id", "handle", "parent", "entry", "size", "_up", "_rep", "_n", "_mark")
+    __slots__ = ("handle", "parent", "entry", "size", "_up", "_rep", "_n", "_mark")
 
-    def __init__(self, node_id: int, handle: Any):
-        self.id = node_id
+    def __init__(self, handle: Any):
         self.handle = handle
         self.parent: Optional[CycleNode] = None
         self.entry: Optional[ListEntry] = None  # member entry in parent's list
@@ -94,34 +89,24 @@ class RealNode:
         self._n = 1  # merged-set size, read at set roots only
         self._mark = False
 
-    def __repr__(self) -> str:
-        return f"RealNode({self.id})"
-
 
 class CycleNode:
-    __slots__ = ("id", "parent", "parent_entry", "origin", "_mark")
+    __slots__ = ("parent_entry", "origin", "_mark")
 
-    def __init__(self, node_id: int, origin: OriginCycle):
-        self.id = node_id
-        self.parent: Optional[RealNode] = None  # may be stale; see cycle_parent
+    def __init__(self, origin: OriginCycle):
         self.parent_entry: Optional[ListEntry] = None
         self.origin = origin
         self._mark = False
 
-    def __repr__(self) -> str:
-        return f"CycleNode({self.id})"
-
 
 class CactusForest:
     def __init__(self) -> None:
-        self._serial = 0
         self._cycles: set[CycleNode] = set()
         self.reroot_touches = 0
         self.walk_touches = 0  # list entries stepped over by split walks
 
     def new_node(self, handle: Any) -> RealNode:
-        self._serial += 1
-        return RealNode(self._serial, handle)
+        return RealNode(handle)
 
     # -- resolution helpers ---------------------------------------------
 
@@ -132,8 +117,7 @@ class CactusForest:
         return self.representative(node) is node
 
     def cycle_parent(self, cyc: CycleNode) -> RealNode:
-        p = cyc.parent = self.representative(cyc.parent)
-        return p
+        return self.representative(cyc.parent_entry.real)
 
     def root_path(self, node: RealNode) -> list:
         """Alternating real/cycle nodes from `node` up to its cactus root."""
@@ -197,28 +181,6 @@ class CactusForest:
         # stays readable so returned path nodes still identify themselves
         return nodes, payloads, merged
 
-    def squeeze_cycle(self, u: RealNode, v: RealNode, cyc: CycleNode) -> list[Any]:
-        """Merge two distinct members of one cycle, splitting its list.
-
-        Returns the payloads of the direct edges between u and v on the cycle
-        (0, 1, or 2 of them). u and v must be related as child/parent of the
-        cycle or as two of its child members.
-        """
-        u = self.representative(u)
-        v = self.representative(v)
-        if u is v:
-            raise NotOnCycleError("squeeze endpoints coincide")
-        u_child = u.parent is cyc
-        v_child = v.parent is cyc
-        if u_child and v_child:
-            return self._squeeze(u, v, v.entry, cyc)
-        pr = self.cycle_parent(cyc)
-        if u_child and pr is v:
-            return self._squeeze(u, v, cyc.parent_entry, cyc)
-        if v_child and pr is u:
-            return self._squeeze(v, u, cyc.parent_entry, cyc)
-        raise NotOnCycleError("nodes are not both members of the cycle")
-
     def join_cactuses(self, xs: list[RealNode], payloads: list[Any]) -> None:
         """Link k >= 2 pairwise distinct cactuses with a new cycle x1..xk.
 
@@ -240,21 +202,17 @@ class CactusForest:
             if i != big:
                 self._reroot(paths[i])
 
-        origin = OriginCycle(k)
-        self._serial += 1
-        cyc = CycleNode(self._serial, origin)
+        cyc = CycleNode(OriginCycle(k))
         entries = [ListEntry(r) for r in lives]
         for i in range(k):
             e, nxt = entries[i], entries[(i + 1) % k]
             e.right = nxt
             nxt.left = e
             e.right_edge = payloads[i]
-            nxt.left_edge = payloads[i]
         for i in range(k):
             if i != big:
                 lives[i].parent = cyc
                 lives[i].entry = entries[i]
-        cyc.parent = lives[big]
         cyc.parent_entry = entries[big]
         self._cycles.add(cyc)
         roots[big].size = total
@@ -285,10 +243,10 @@ class CactusForest:
         ue = u.entry
         if ue.left is ve and ue.right is ve:
             # u was the only other member; the 2-entry list dissolves
-            out = [ue.left_edge, ue.right_edge]
+            out = [ve.right_edge, ue.right_edge]
             self._cycles.discard(cyc)
         elif ue.left is ve:
-            out = [ue.left_edge]
+            out = [ve.right_edge]
             ue.right.left = ve
             ve.right = ue.right
             ve.right_edge = ue.right_edge
@@ -296,7 +254,6 @@ class CactusForest:
             out = [ue.right_edge]
             ue.left.right = ve
             ve.left = ue.left
-            ve.left_edge = ue.left_edge
         else:
             self._split(ue, v, ve, cyc)
             out = []
@@ -310,38 +267,25 @@ class CactusForest:
 
         The arc is the internal segment strictly between the endpoints on the
         side of whichever walker finished first: [ue.left .. ve.right] when
-        the u-walker hit ve, else [ve.left .. ue.right]. Ties favour the
-        u-walker, so equal arcs resolve to the segment reached from u.
+        the u-walker hit ve, else [ve.left .. ue.right]. The two walks cover
+        the two disjoint sides of the ring, so each can only stop at the
+        other endpoint. Ties favour the u-walker, so equal arcs resolve to
+        the segment reached from u.
         """
-        ue._mark = ve._mark = True
-        marked = [ue, ve]
-        wa, wb = ue, ve
+        wa, wb = ue.left, ve.left
         seen_a: list[ListEntry] = []
         seen_b: list[ListEntry] = []
-        z = None
-        touches = 0
-        while z is None:
-            wa = wa.left
-            touches += 1
-            if wa._mark:
-                z = wa
-                break
-            wa._mark = True
-            marked.append(wa)
+        while wa is not ve:
             seen_a.append(wa)
-            wb = wb.left
-            touches += 1
-            if wb._mark:
-                z = wb
+            if wb is ue:
                 break
-            wb._mark = True
-            marked.append(wb)
             seen_b.append(wb)
-        for e in marked:
-            e._mark = False
+            wa, wb = wa.left, wb.left
+        # every step either extended an arc or stopped the walk
+        touches = len(seen_a) + len(seen_b) + 1
         origin.walk_touches += touches
         self.walk_touches += touches
-        return (z is ve, seen_a) if z is ve else (False, seen_b)
+        return (True, seen_a) if wa is ve else (False, seen_b)
 
     def _split(self, ue: ListEntry, v: RealNode, ve: ListEntry, cyc: CycleNode) -> None:
         """Split cyc between the non-adjacent entries ue and ve.
@@ -352,8 +296,7 @@ class CactusForest:
         which keeps the work O(shorter arc).
         """
         z_at_v, arc = self._shorter_arc(ue, ve, cyc.origin)
-        self._serial += 1
-        new_cyc = CycleNode(self._serial, cyc.origin)
+        new_cyc = CycleNode(cyc.origin)
         self._cycles.add(new_cyc)
         nve = ListEntry(v)
         first, last = arc[0], arc[-1]
@@ -363,18 +306,15 @@ class CactusForest:
         last.left = nve
         if z_at_v:
             # arc = [ue.left .. ve.right]
-            nve.left_edge = ue.left_edge
             nve.right_edge = ve.right_edge
             ue.right.left = ve
             ve.right = ue.right
             ve.right_edge = ue.right_edge
         else:
             # arc = [ve.left .. ue.right]
-            nve.left_edge = ve.left_edge
             nve.right_edge = ue.right_edge
             ue.left.right = ve
             ve.left = ue.left
-            ve.left_edge = ue.left_edge
         pe = cyc.parent_entry
         for e in arc:
             if e is not pe:
@@ -383,14 +323,11 @@ class CactusForest:
             # the arc takes cyc's parent; v joins it through the fresh entry
             # and cyc hangs from v through ve
             new_cyc.parent_entry = pe
-            new_cyc.parent = cyc.parent
             v.parent = new_cyc
             v.entry = nve
             cyc.parent_entry = ve
-            cyc.parent = v
         else:
             new_cyc.parent_entry = nve
-            new_cyc.parent = v
 
     # -- rerooting -----------------------------------------------------------
 
@@ -405,7 +342,6 @@ class CactusForest:
             upper, cyc, lower = path[i], path[i - 1], path[i - 2]
             old_pe = cyc.parent_entry
             cyc.parent_entry = lower.entry
-            cyc.parent = lower
             upper.parent = cyc
             upper.entry = old_pe
         path[0].parent = None
@@ -433,16 +369,14 @@ class CactusForest:
         return out
 
     def check_lists(self) -> None:
-        """Ring-level invariants: link symmetry, shared edge payloads,
-        list length >= 2, member entries bound bidirectionally."""
+        """Ring-level invariants: link symmetry, list length >= 2, member
+        entries bound bidirectionally."""
         for cyc in self._cycles:
             e = cyc.parent_entry
             length = 0
             while True:
                 if e.right.left is not e or e.left.right is not e:
                     raise CactusError(f"broken ring links in {cyc}")
-                if e.right_edge is not e.right.left_edge:
-                    raise CactusError(f"edge payload mismatch in {cyc}")
                 r = self.representative(e.real)
                 if e is not cyc.parent_entry and (r.entry is not e or r.parent is not cyc):
                     raise CactusError(f"member binding broken in {cyc}")

@@ -42,13 +42,10 @@ def cmd_solve(args) -> int:
 def cmd_incr(args) -> int:
     ops = parse_stream(_load(args.stream))
     tree = DecompTree()
-    g = Multigraph()
     for op in ops:
         if op[0] == "av":
-            g.add_vertex()
             tree.insert_vertex()
         elif op[0] == "ae":
-            g.add_edge(op[1], op[2])
             tree.insert_edge(op[1], op[2])
         elif op[0] == "q":
             print("true" if tree.same_max_3ec(op[1], op[2]) else "false")
@@ -56,7 +53,6 @@ def cmd_incr(args) -> int:
             print("error: `de` is not supported by incr", file=sys.stderr)
             return 2
         if args.debug_validate:
-            g.validate()
             tree.validate()
     if args.counters:
         print(
@@ -173,7 +169,10 @@ def cmd_verify(args) -> int:
             elif k >= 3 and max_kec_subgraphs(g, k, use_certificate=True) != want_k:
                 failed.add(trial)
                 print(f"trial {trial}: certified solve disagrees at k={k}")
-        stream = gen.random_dynamic_stream(rng, n, edges, seed_edges=n)
+        # every third stream starts dense, so that classes form up to k = 6
+        # and deletes inside them reach the flow check and the class solve
+        seed_edges = 6 * n if trial % 3 == 1 else n
+        stream = gen.random_dynamic_stream(rng, n, edges, seed_edges=seed_edges)
         for k in args.k:
             if not _dynamic_agrees(stream, n, k):
                 failed.add(trial)

@@ -39,7 +39,7 @@ partition.
 from __future__ import annotations
 
 from .graph import Multigraph, SelfLoopError, UnknownEdgeError, UnknownVertexError
-from .solver import Partition, kec_classes
+from .solver import Partition, _adjacency, kec_classes
 
 
 def _push(flow: dict[int, dict[int, int]], x: int, y: int, units: int) -> None:
@@ -148,17 +148,19 @@ class SparsTree:
         self.full_solves = 1
         self.flow_checks = 0
         self.last_recompute_nodes = 0
-        self._adj: dict[int, dict[int, int]] = {x: {} for x in range(1, g.n + 1)}
-        self._m = 0
-        for eid in g.edge_ids():
-            self._link(*g.endpoints(eid), 1)
+        self._adj = _adjacency(g)
+        self._m = g.m
         self._partition = Partition.from_classes(
             kec_classes(self._adj, self._adj.keys(), k)
         )
 
-    def _check_vertex(self, v: int) -> None:
-        if v not in self._adj:
-            raise UnknownVertexError(f"unknown vertex {v}")
+    def _check_pair(self, u: int, v: int) -> None:
+        # the type tests first: 2.0 and True compare and hash equal to vertex
+        # ids, so the membership tests alone would let them in; one call for
+        # both ends keeps a query as cheap as two membership tests
+        adj = self._adj
+        if type(u) is not int or type(v) is not int or u not in adj or v not in adj:
+            raise UnknownVertexError(f"unknown vertex in ({u}, {v})")
 
     def _link(self, a: int, b: int, step: int) -> None:
         """Add `step` copies of edge (a, b) to the adjacency."""
@@ -219,16 +221,14 @@ class SparsTree:
     # -- updates ------------------------------------------------------------
 
     def insert(self, u: int, v: int) -> None:
-        self._check_vertex(u)
-        self._check_vertex(v)
+        self._check_pair(u, v)
         if u == v:
             raise SelfLoopError(f"self-loop at vertex {u}")
         self._link(u, v, 1)
         self._merge_classes(u, v)
 
     def delete(self, u: int, v: int) -> None:
-        self._check_vertex(u)
-        self._check_vertex(v)
+        self._check_pair(u, v)
         if not self._adj[u].get(v):
             raise UnknownEdgeError(f"no edge between {u} and {v}")
         self._link(u, v, -1)
@@ -237,8 +237,7 @@ class SparsTree:
     # -- queries -------------------------------------------------------------
 
     def max_k_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
+        self._check_pair(u, v)
         return self._partition.same(u, v)
 
     def partition(self) -> Partition:

@@ -1,6 +1,6 @@
 """Explicit shadow structures used as oracles for the forest data structures.
 
-The shadows store groups of original node ids plus an explicit edge multiset
+The shadows store groups of the original nodes plus an explicit edge multiset
 with payloads, and execute every operation by definition (breadth-first path
 finding, block decomposition for cycle membership). Tests compare partitions,
 payload multisets, and per-call compression answers against the live
@@ -38,16 +38,16 @@ class ShadowForest:
     """Reference implementation of the block-forest contract."""
 
     def __init__(self):
-        self.group = {}  # original node id -> group id
-        self.members = {}  # group id -> set of original ids
+        self.group = {}  # original node -> group id
+        self.members = {}  # group id -> set of original nodes
         self.edges = []  # (gid_a, gid_b, payload)
         self._next = 0
 
-    def new_node(self, nid):
+    def new_node(self, node):
         gid = self._next
         self._next += 1
-        self.group[nid] = gid
-        self.members[gid] = {nid}
+        self.group[node] = gid
+        self.members[gid] = {node}
 
     def _adj(self):
         adj = {g: [] for g in self.members}
@@ -56,17 +56,17 @@ class ShadowForest:
             adj[b].append((a, idx))
         return adj
 
-    def same_tree(self, xid, yid):
-        verts, _ = _bfs_path(self._adj(), self.group[xid], self.group[yid])
+    def same_tree(self, x, y):
+        verts, _ = _bfs_path(self._adj(), self.group[x], self.group[y])
         return verts is not None
 
-    def join(self, xid, yid, payload):
-        assert not self.same_tree(xid, yid)
-        self.edges.append((self.group[xid], self.group[yid], payload))
+    def join(self, x, y, payload):
+        assert not self.same_tree(x, y)
+        self.edges.append((self.group[x], self.group[y], payload))
 
-    def compress(self, xid, yid):
+    def compress(self, x, y):
         """Returns (path as list of member frozensets, payloads in order)."""
-        a, b = self.group[xid], self.group[yid]
+        a, b = self.group[x], self.group[y]
         assert a != b
         verts, eidx = _bfs_path(self._adj(), a, b)
         assert verts is not None
@@ -78,8 +78,8 @@ class ShadowForest:
         for g in verts:
             merged |= self.members.pop(g)
         self.members[z] = merged
-        for nid in merged:
-            self.group[nid] = z
+        for node in merged:
+            self.group[node] = z
         on_path = set(verts)
         kept = []
         for i, (ga, gb, p) in enumerate(self.edges):
@@ -167,11 +167,11 @@ class ShadowCactus:
         self.edges = []  # (gid_a, gid_b, payload) multigraph
         self._next = 0
 
-    def new_node(self, nid):
+    def new_node(self, node):
         gid = self._next
         self._next += 1
-        self.group[nid] = gid
-        self.members[gid] = {nid}
+        self.group[node] = gid
+        self.members[gid] = {node}
 
     def _adj(self):
         adj = {g: [] for g in self.members}
@@ -180,12 +180,12 @@ class ShadowCactus:
             adj[b].append((a, idx))
         return adj
 
-    def same_cactus(self, xid, yid):
-        verts, _ = _bfs_path(self._adj(), self.group[xid], self.group[yid])
+    def same_cactus(self, x, y):
+        verts, _ = _bfs_path(self._adj(), self.group[x], self.group[y])
         return verts is not None
 
-    def join(self, x_ids, payloads):
-        gids = [self.group[x] for x in x_ids]
+    def join(self, xs, payloads):
+        gids = [self.group[x] for x in xs]
         k = len(gids)
         for i in range(k):
             for j in range(i + 1, k):
@@ -194,9 +194,9 @@ class ShadowCactus:
         for i in range(k):
             self.edges.append((gids[i], gids[(i + 1) % k], payloads[i]))
 
-    def compress(self, xid, yid):
+    def compress(self, x, y):
         """Returns (cycle-path as member frozensets, payload Counter)."""
-        a, b = self.group[xid], self.group[yid]
+        a, b = self.group[x], self.group[y]
         assert a != b
         verts, eidx = _bfs_path(self._adj(), a, b)
         assert verts is not None
@@ -214,8 +214,8 @@ class ShadowCactus:
         for g in q:
             merged |= self.members.pop(g)
         self.members[z] = merged
-        for nid in merged:
-            self.group[nid] = z
+        for node in merged:
+            self.group[node] = z
         removed = Counter()
         kept = []
         for ga, gb, p in self.edges:
@@ -263,7 +263,7 @@ def live_forest_state(bf, created):
     classes = {}
     for node in created:
         rep = bf.representative(node)
-        classes.setdefault(rep.id, set()).add(node.id)
+        classes.setdefault(rep, set()).add(node)
     frozen = {rid: frozenset(s) for rid, s in classes.items()}
     part = set(frozen.values())
     edges = Counter()
@@ -271,7 +271,7 @@ def live_forest_state(bf, created):
         if not bf.is_live(node) or node.parent is None:
             continue
         parent = bf.parent_of(node)
-        key = frozenset({frozen[node.id], frozen[parent.id]})
+        key = frozenset({frozen[node], frozen[parent]})
         edges[(key, node.edge)] += 1
     return part, edges, frozen
 
@@ -281,11 +281,11 @@ def live_cactus_state(cf, created):
     classes = {}
     for node in created:
         rep = cf.representative(node)
-        classes.setdefault(rep.id, set()).add(node.id)
+        classes.setdefault(rep, set()).add(node)
     frozen = {rid: frozenset(s) for rid, s in classes.items()}
     part = set(frozen.values())
     edges = Counter()
     for a, b, payload in cf.expanded_edges():
-        key = frozenset({frozen[a.id], frozen[b.id]})
+        key = frozenset({frozen[a], frozen[b]})
         edges[(key, payload)] += 1
     return part, edges, frozen

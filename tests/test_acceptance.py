@@ -273,7 +273,7 @@ def _forest_shadow_ops(rng, steps):
     def add_node():
         node = bf.new_node(None)
         created.append(node)
-        shadow.new_node(node.id)
+        shadow.new_node(node)
 
     for _ in range(10):
         add_node()
@@ -285,22 +285,22 @@ def _forest_shadow_ops(rng, steps):
             ops += 1
         elif roll < 0.6:
             x, y = rng.sample(created, 2)
-            if shadow.same_tree(x.id, y.id):
+            if shadow.same_tree(x, y):
                 continue
             payload += 1
             bf.join_trees(x, y, payload)
-            shadow.join(x.id, y.id, payload)
+            shadow.join(x, y, payload)
             ops += 1
         else:
             x, y = rng.sample(created, 2)
             if bf.representative(x) is bf.representative(y):
                 continue
-            if not shadow.same_tree(x.id, y.id):
+            if not shadow.same_tree(x, y):
                 continue
             _part, _edges, frozen = live_forest_state(bf, created)
             nodes, payloads, _z = bf.compress_path(x, y)
-            want_nodes, want_payloads = shadow.compress(x.id, y.id)
-            assert [frozen[n.id] for n in nodes] == want_nodes
+            want_nodes, want_payloads = shadow.compress(x, y)
+            assert [frozen[n] for n in nodes] == want_nodes
             assert payloads == want_payloads
             ops += 1
         part, edges, _ = live_forest_state(bf, created)
@@ -319,7 +319,7 @@ def _cactus_shadow_ops(rng, steps):
     def add_node():
         node = cf.new_node(None)
         created.append(node)
-        shadow.new_node(node.id)
+        shadow.new_node(node)
 
     for _ in range(8):
         add_node()
@@ -335,7 +335,7 @@ def _cactus_shadow_ops(rng, steps):
             if len({id(cf.representative(p)) for p in picks}) != k:
                 continue
             if any(
-                shadow.same_cactus(picks[i].id, picks[j].id)
+                shadow.same_cactus(picks[i], picks[j])
                 for i in range(k)
                 for j in range(i + 1, k)
             ):
@@ -343,18 +343,18 @@ def _cactus_shadow_ops(rng, steps):
             pays = list(range(payload + 1, payload + k + 1))
             payload += k
             cf.join_cactuses(picks, pays)
-            shadow.join([p.id for p in picks], pays)
+            shadow.join([p for p in picks], pays)
             ops += 1
         else:
             x, y = rng.sample(created, 2)
             if cf.representative(x) is cf.representative(y):
                 continue
-            if not shadow.same_cactus(x.id, y.id):
+            if not shadow.same_cactus(x, y):
                 continue
             _part, _edges, frozen = live_cactus_state(cf, created)
             nodes, payloads, _z = cf.compress_cycle_path(x, y)
-            want_nodes, want_removed = shadow.compress(x.id, y.id)
-            assert [frozen[n.id] for n in nodes] == want_nodes
+            want_nodes, want_removed = shadow.compress(x, y)
+            assert [frozen[n] for n in nodes] == want_nodes
             assert Counter(payloads) == want_removed
             ops += 1
         cf.check_lists()

@@ -122,7 +122,7 @@ def _random_shadow_run(seed, steps, n_seed_nodes):
     def add_node():
         node = bf.new_node(None)
         created.append(node)
-        shadow.new_node(node.id)
+        shadow.new_node(node)
 
     for _ in range(n_seed_nodes):
         add_node()
@@ -134,20 +134,20 @@ def _random_shadow_run(seed, steps, n_seed_nodes):
             add_node()
         elif roll < 0.6 and len(part) >= 2:
             x, y = rng.sample(created, 2)
-            if shadow.same_tree(x.id, y.id):
+            if shadow.same_tree(x, y):
                 continue
             payload_counter += 1
             bf.join_trees(x, y, payload_counter)
-            shadow.join(x.id, y.id, payload_counter)
+            shadow.join(x, y, payload_counter)
         else:
             x, y = rng.sample(created, 2)
-            if not shadow.same_tree(x.id, y.id):
+            if not shadow.same_tree(x, y):
                 continue
             if bf.representative(x) is bf.representative(y):
                 continue
             nodes, payloads, _z = bf.compress_path(x, y)
-            want_nodes, want_payloads = shadow.compress(x.id, y.id)
-            got_nodes = [frozen[n.id] for n in nodes]
+            want_nodes, want_payloads = shadow.compress(x, y)
+            got_nodes = [frozen[n] for n in nodes]
             assert got_nodes == want_nodes
             assert payloads == want_payloads
         part, edges, _ = live_forest_state(bf, created)

@@ -23,7 +23,7 @@ def ring4(cf=None):
 def expanded_counter(cf):
     out = Counter()
     for x, y, p in cf.expanded_edges():
-        out[(frozenset({x.id, y.id}), p)] += 1
+        out[(frozenset({x, y}), p)] += 1
     return out
 
 
@@ -62,7 +62,7 @@ def test_join_three_singletons_triangle():
     assert payloads == ["ab"]
     # residual 2-cycle between the merged node and c
     assert expanded_counter(cf) == Counter(
-        {(frozenset({z.id, c.id}), "bc"): 1, (frozenset({z.id, c.id}), "ca"): 1}
+        {(frozenset({z, c}), "bc"): 1, (frozenset({z, c}), "ca"): 1}
     )
 
 
@@ -75,10 +75,10 @@ def test_four_cycle_opposite_compress():
     # residual: two 2-cycles (z,b) and (z,d)
     assert expanded_counter(cf) == Counter(
         {
-            (frozenset({z.id, b.id}), "ab"): 1,
-            (frozenset({z.id, b.id}), "bc"): 1,
-            (frozenset({z.id, d.id}), "cd"): 1,
-            (frozenset({z.id, d.id}), "da"): 1,
+            (frozenset({z, b}), "ab"): 1,
+            (frozenset({z, b}), "bc"): 1,
+            (frozenset({z, d}), "cd"): 1,
+            (frozenset({z, d}), "da"): 1,
         }
     )
     cf.check_lists()
@@ -92,9 +92,9 @@ def test_four_cycle_adjacent_compress():
     # residual 3-cycle (z, c, d)
     assert expanded_counter(cf) == Counter(
         {
-            (frozenset({z.id, c.id}), "bc"): 1,
-            (frozenset({c.id, d.id}), "cd"): 1,
-            (frozenset({z.id, d.id}), "da"): 1,
+            (frozenset({z, c}), "bc"): 1,
+            (frozenset({c, d}), "cd"): 1,
+            (frozenset({z, d}), "da"): 1,
         }
     )
     cf.check_lists()
@@ -114,10 +114,10 @@ def test_two_triangles_shared_node():
     # residuals: 2-cycles (z,u1) and (z,u2)
     assert expanded_counter(cf) == Counter(
         {
-            (frozenset({z.id, u1.id}), "x-u1"): 1,
-            (frozenset({z.id, u1.id}), "u1-m"): 1,
-            (frozenset({z.id, u2.id}), "y-u2"): 1,
-            (frozenset({z.id, u2.id}), "u2-m"): 1,
+            (frozenset({z, u1}), "x-u1"): 1,
+            (frozenset({z, u1}), "u1-m"): 1,
+            (frozenset({z, u2}), "y-u2"): 1,
+            (frozenset({z, u2}), "u2-m"): 1,
         }
     )
 
@@ -129,7 +129,7 @@ def test_squeeze_two_cycle_dissolves():
     cyc = next(iter(cf.cycles()))
     child = a if a.parent is cyc else b
     parent = b if child is a else a
-    payloads = cf.squeeze_cycle(child, parent, cyc)
+    _nodes, payloads, _z = cf.compress_cycle_path(child, parent)
     assert sorted(payloads) == ["p", "q"]
     assert not cf.cycles()
     assert cf.representative(child) is cf.representative(parent)
@@ -137,15 +137,13 @@ def test_squeeze_two_cycle_dissolves():
 
 def test_squeeze_four_cycle_adjacent_and_opposite():
     cf, a, b, c, d = ring4()
-    cyc = next(iter(cf.cycles()))
-    out = cf.squeeze_cycle(a, b, cyc)
+    _nodes, out, _z = cf.compress_cycle_path(a, b)
     assert out == ["ab"]
     assert len(cf.cycles()) == 1
     cf.check_lists()
 
     cf2, a2, b2, c2, d2 = ring4()
-    cyc2 = next(iter(cf2.cycles()))
-    out2 = cf2.squeeze_cycle(a2, c2, cyc2)
+    _nodes, out2, _z = cf2.compress_cycle_path(a2, c2)
     assert out2 == []
     assert len(cf2.cycles()) == 2
     cf2.check_lists()
@@ -184,15 +182,15 @@ def test_sibling_squeeze_with_parent_entry_in_segment():
         shadow = ShadowCactus()
         nodes = [cf.new_node(i) for i in range(k)]
         for nd in nodes:
-            shadow.new_node(nd.id)
+            shadow.new_node(nd)
         pays = list(range(100, 100 + k))
         cf.join_cactuses(nodes, pays)
-        shadow.join([n.id for n in nodes], pays)
+        shadow.join([n for n in nodes], pays)
         u, v = (nodes[k - 2], nodes[0]) if swap else (nodes[0], nodes[k - 2])
         _p, _e, frozen = live_cactus_state(cf, nodes)
         got_nodes, got_pays, _z = cf.compress_cycle_path(u, v)
-        want_nodes, want_removed = shadow.compress(u.id, v.id)
-        assert [frozen[n.id] for n in got_nodes] == want_nodes
+        want_nodes, want_removed = shadow.compress(u, v)
+        assert [frozen[n] for n in got_nodes] == want_nodes
         assert Counter(got_pays) == want_removed
         cf.check_lists()
         part, edges, _ = live_cactus_state(cf, nodes)
@@ -210,7 +208,7 @@ def _random_shadow_run(seed, steps, n_seed):
     def add_node():
         node = cf.new_node(None)
         created.append(node)
-        shadow.new_node(node.id)
+        shadow.new_node(node)
 
     for _ in range(n_seed):
         add_node()
@@ -228,7 +226,7 @@ def _random_shadow_run(seed, steps, n_seed):
             ok = True
             for i in range(k):
                 for j in range(i + 1, k):
-                    if shadow.same_cactus(picks[i].id, picks[j].id):
+                    if shadow.same_cactus(picks[i], picks[j]):
                         ok = False
             if not ok:
                 continue
@@ -237,17 +235,17 @@ def _random_shadow_run(seed, steps, n_seed):
                 payload += 1
                 pays.append(payload)
             cf.join_cactuses(picks, pays)
-            shadow.join([p.id for p in picks], pays)
+            shadow.join([p for p in picks], pays)
         else:
             x, y = rng.sample(created, 2)
             if cf.representative(x) is cf.representative(y):
                 continue
-            if not shadow.same_cactus(x.id, y.id):
+            if not shadow.same_cactus(x, y):
                 continue
             _part, _edges, frozen = live_cactus_state(cf, created)
             nodes, payloads, _z = cf.compress_cycle_path(x, y)
-            want_nodes, want_removed = shadow.compress(x.id, y.id)
-            assert [frozen[n.id] for n in nodes] == want_nodes
+            want_nodes, want_removed = shadow.compress(x, y)
+            assert [frozen[n] for n in nodes] == want_nodes
             assert Counter(payloads) == want_removed
         cf.check_lists()
         part, edges, _ = live_cactus_state(cf, created)

@@ -302,6 +302,25 @@ def test_tree_size_stays_linear():
         assert count_nodes(tree) <= 6 * tree.n_vertices + 1
 
 
+def test_work_counters_pinned_on_a_seeded_stream():
+    # 2 000 shuffled inserts of 60 planted 12-vertex clusters; the values
+    # are the engine's recorded work on this stream, so a forest change that
+    # alters the work (not only the answers) fails here
+    rng = random.Random(14)
+    g = planted_clusters(rng, 60, 12, 30, 200)
+    edges = [g.endpoints(e) for e in g.edge_ids()]
+    rng.shuffle(edges)
+    tree = DecompTree()
+    for _ in range(g.n):
+        tree.insert_vertex()
+    for u, v in edges:
+        tree.insert_edge(u, v)
+    assert len(edges) == 2000
+    assert (tree.total_insert_calls, tree.affecting_insertions) == (12548, 1611)
+    assert (tree._bf.reroot_touches, tree._cf.reroot_touches) == (6162, 6176)
+    assert tree._cf.walk_touches == 403
+
+
 ENGINE_TYPES = (DecompNode, BlockTreeNode, RealNode, ListEntry, CycleNode)
 
 

@@ -44,7 +44,7 @@ def test_forest_nodes_unite_by_size():
     # each new node is united with the previous one and named the
     # representative; union by size keeps the first node the set root, so no
     # link chain grows with the number of unions
-    nodes = [BlockTreeNode(i, None) for i in range(64)]
+    nodes = [BlockTreeNode(i) for i in range(64)]
     for prev, node in zip(nodes, nodes[1:]):
         _unite_nodes(node, prev, node)
 

@@ -400,6 +400,23 @@ def test_rejected_non_integer_vertex_changes_nothing():
     assert st._adj[1][2] == st._adj[2][1] == 2
 
 
+@pytest.mark.parametrize("v", [2.0, True], ids=["float", "bool"])
+def test_rejected_vertex_equal_to_an_id_changes_nothing(v):
+    # 2.0 == 2 and True == 1, with equal hashes, so a membership test on the
+    # adjacency would take them for vertices and store a non-int key; the
+    # snapshot alone cannot see that key, because dict equality ignores it
+    st = SparsTree(_graph_of(3, [(1, 2), (1, 2), (2, 1)]), 1)
+    before = _snapshot(st)
+    with pytest.raises(UnknownVertexError):
+        st.insert(v, 3)
+    with pytest.raises(UnknownVertexError):
+        st.delete(v, 3)
+    with pytest.raises(UnknownVertexError):
+        st.max_k_edge(v, 3)
+    assert _snapshot(st) == before
+    assert all(type(y) is int for row in st._adj.values() for y in row)
+
+
 def test_parallel_links_count_in_merge_and_split(solve_sizes):
     # k parallel copies of one edge join two K4s; one copy fewer splits them
     st = SparsTree(k4_pair(), 3)
