@@ -63,17 +63,17 @@ class BlockForest:
         return _set_root(node)._rep
 
     def is_live(self, node: BlockTreeNode) -> bool:
-        return self.representative(node) is node
+        return _set_root(node)._rep is node
 
     def parent_of(self, node: BlockTreeNode) -> Optional[BlockTreeNode]:
         p = node.parent
         if p is not None:
-            p = node.parent = self.representative(p)
+            p = node.parent = _set_root(p)._rep
         return p
 
     def root_path(self, node: BlockTreeNode) -> list[BlockTreeNode]:
         """Live nodes from `node` up to its tree root, inclusive."""
-        path = [self.representative(node)]
+        path = [_set_root(node)._rep]
         while (p := self.parent_of(path[-1])) is not None:
             path.append(p)
         return path
@@ -89,8 +89,8 @@ class BlockForest:
         order, the merged node). The merged node keeps the meet point's parent
         link and gets a fresh (unset) handle for the caller to bind.
         """
-        x = self.representative(x)
-        y = self.representative(y)
+        x = _set_root(x)._rep
+        y = _set_root(y)._rep
         if x is y:
             raise SameNodeError("path endpoints coincide")
         paths = meet_paths(x, y, self.parent_of)
@@ -118,8 +118,8 @@ class BlockForest:
         The smaller tree is rerooted at its endpoint (payloads handed child to
         parent along the way) and hung under the other endpoint.
         """
-        x = self.representative(x)
-        y = self.representative(y)
+        x = _set_root(x)._rep
+        y = _set_root(y)._rep
         path_x = self.root_path(x)
         path_y = self.root_path(y)
         rx, ry = path_x[-1], path_y[-1]

@@ -13,14 +13,15 @@ Non-parent members keep a bidirectional link with their entry.
 
 Real nodes merge through union-find links kept on the nodes themselves
 (`dsu._set_root`, union by size with path compression), so stored real-node
-references must be resolved through `representative` before use. A cycle
-stores no parent of its own: `cycle_parent` resolves the real node of its
-parent entry, so no merge leaves a stale cycle parent behind, and a merged
-node drops its own parent and entry links. Cycle nodes never merge. A cycle
-leaves `cycles()` when its list dissolves or when the decomposition tree
-discards its cactus (`_retire_cycle_above`), so the forest refers only to
-live cycles; the origin of each cycle keeps that join's walk budget, and
-`walk_touches` counts every walk step forest-wide.
+references must be resolved to their set's live node, `_set_root(x)._rep`
+(what `representative` returns), before use. A cycle stores no parent of its
+own: `cycle_parent` resolves the real node of its parent entry, so no merge
+leaves a stale cycle parent behind, and a merged node drops its own parent
+and entry links. Cycle nodes never merge. A cycle leaves `cycles()` when its
+list dissolves or when the decomposition tree discards its cactus
+(`_retire_cycle_above`), so the forest refers only to live cycles; the
+origin of each cycle keeps that join's walk budget, and `walk_touches`
+counts every walk step forest-wide.
 
 compress_cycle_path merges through one squeeze per cycle on the path,
 `_squeeze(u, v, ve, cyc)`: a child member u of cyc merges into v, whose entry
@@ -114,17 +115,17 @@ class CactusForest:
         return _set_root(node)._rep
 
     def is_live(self, node: RealNode) -> bool:
-        return self.representative(node) is node
+        return _set_root(node)._rep is node
 
     def cycle_parent(self, cyc: CycleNode) -> RealNode:
-        return self.representative(cyc.parent_entry.real)
+        return _set_root(cyc.parent_entry.real)._rep
 
     def root_path(self, node: RealNode) -> list:
         """Alternating real/cycle nodes from `node` up to its cactus root."""
-        path: list = [self.representative(node)]
+        path: list = [_set_root(node)._rep]
         while (cyc := path[-1].parent) is not None:
             path.append(cyc)
-            path.append(self.cycle_parent(cyc))
+            path.append(_set_root(cyc.parent_entry.real)._rep)
         return path
 
     def cycles(self) -> set[CycleNode]:
@@ -142,8 +143,8 @@ class CactusForest:
         Every involved cycle is squeezed at its two path members; residual
         2-entry lists where the members coincide are dissolved.
         """
-        x = self.representative(x)
-        y = self.representative(y)
+        x = _set_root(x)._rep
+        y = _set_root(y)._rep
         if x is y:
             raise SameNodeError("cycle-path endpoints coincide")
         paths = meet_paths(x, y, self._up)
@@ -165,17 +166,17 @@ class CactusForest:
         for part in (up_x, up_y):
             stop = len(part) - 1 if isinstance(meet, RealNode) else len(part) - 2
             for i in range(0, stop - 1, 2):
-                child = self.representative(part[i])
-                anc = self.representative(part[i + 2])
+                child = _set_root(part[i])._rep
+                anc = _set_root(part[i + 2])._rep
                 cyc = part[i + 1]
                 payloads.extend(self._squeeze(child, anc, cyc.parent_entry, cyc))
         if isinstance(meet, CycleNode):
-            u = self.representative(up_x[-2])
-            v = self.representative(up_y[-2])
+            u = _set_root(up_x[-2])._rep
+            v = _set_root(up_y[-2])._rep
             payloads.extend(self._squeeze(u, v, v.entry, meet))
 
-        merged = self.representative(x)
-        assert merged is self.representative(y)
+        merged = _set_root(x)._rep
+        assert merged is _set_root(y)._rep
         self.root_path(merged)[-1].size -= len(nodes) - 1
         # the caller binds a fresh handle to the merged node; the stale one
         # stays readable so returned path nodes still identify themselves
@@ -190,7 +191,7 @@ class CactusForest:
         k = len(xs)
         if k < 2 or len(payloads) != k:
             raise CactusError("need k >= 2 nodes and k payloads")
-        lives = [self.representative(x) for x in xs]
+        lives = [_set_root(x)._rep for x in xs]
         paths = [self.root_path(r) for r in lives]
         roots = [p[-1] for p in paths]
         if len({id(r) for r in roots}) != k:
@@ -220,7 +221,9 @@ class CactusForest:
     # -- climbing ----------------------------------------------------------
 
     def _up(self, node):
-        return node.parent if isinstance(node, RealNode) else self.cycle_parent(node)
+        if isinstance(node, RealNode):
+            return node.parent
+        return _set_root(node.parent_entry.real)._rep
 
     # -- squeezing ----------------------------------------------------------
 
@@ -318,7 +321,7 @@ class CactusForest:
         pe = cyc.parent_entry
         for e in arc:
             if e is not pe:
-                self.representative(e.real).parent = new_cyc
+                _set_root(e.real)._rep.parent = new_cyc
         if pe in arc:
             # the arc takes cyc's parent; v joins it through the fresh entry
             # and cyc hangs from v through ve

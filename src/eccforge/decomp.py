@@ -19,6 +19,15 @@ A node that leaves the tree, merged into a sibling or dropped with a
 condensed subtree, lets go of its children and its forest node lets go of
 it; a dropped cactus also retires its cycles. What the engine holds is then
 proportional to its live tree, the paper's O(n) space.
+
+Vertices are checked once, where they enter through `insert_edge`,
+`same_max_3ec` or `subgraph_of`: a vertex is an `int` (not a `bool`) in
+1..n. Past that check the engine reads the vertex union-find's `_parent` and
+`_label` lists itself: `_leaf_of` and `same_max_3ec` run the find loop inline,
+with path compression, instead of paying `DsuForest`'s item check and nested
+calls on every lookup. A node's children are a list, and each child keeps its
+index in that list in `_pos`, so a merged-away child leaves in O(1): the last
+child moves into its slot.
 """
 
 from __future__ import annotations
@@ -40,12 +49,15 @@ class DecompError(Exception):
 
 
 class DecompNode:
-    __slots__ = ("parent", "children", "level", "bt_node", "cx_node", "dsu_item", "_mark")
+    __slots__ = (
+        "parent", "children", "level", "bt_node", "cx_node", "dsu_item", "_pos", "_mark"
+    )
 
     def __init__(self, parent: Optional["DecompNode"]):
         self.parent = parent
-        self.children: set[DecompNode] = set()
+        self.children: list[DecompNode] = []
         self.level = 0 if parent is None else parent.level + 1
+        self._pos = 0  # index in parent.children
         self.bt_node = None  # block-tree node of a 2-ecc inside its parent's tree
         self.cx_node = None  # cactus real node of a 3-ecc inside its parent's cactus
         self.dsu_item: Optional[int] = None  # any vertex item of a leaf's class
@@ -69,7 +81,8 @@ class DecompTree:
 
     def _new_node(self, parent: DecompNode) -> DecompNode:
         node = DecompNode(parent)
-        parent.children.add(node)
+        node._pos = len(parent.children)
+        parent.children.append(node)
         return node
 
     # -- vertex / query surface ------------------------------------------
@@ -97,16 +110,39 @@ class DecompTree:
         return c3
 
     def _check_vertex(self, v: int) -> None:
-        if not (isinstance(v, int) and 1 <= v <= self.n_vertices):
+        if not (type(v) is int and 1 <= v <= self.n_vertices):
             raise UnknownVertexError(f"unknown vertex {v}")
 
     def _leaf_of(self, v: int) -> DecompNode:
-        return self._dsu.label_of(v - 1)
+        """Leaf holding the checked vertex v: the union-find's find, with
+        path compression, run on its lists."""
+        parent = self._dsu._parent
+        x = r = v - 1
+        while parent[r] != r:
+            r = parent[r]
+        while parent[x] != r:
+            parent[x], x = r, parent[x]
+        return self._dsu._label[r]
 
     def same_max_3ec(self, x: int, y: int) -> bool:
-        self._check_vertex(x)
-        self._check_vertex(y)
-        return self._dsu.root_of(x - 1) == self._dsu.root_of(y - 1)
+        n = self.n_vertices
+        if not (type(x) is int and type(y) is int and 1 <= x <= n and 1 <= y <= n):
+            self._check_vertex(x)  # one of the two raises
+            self._check_vertex(y)
+        parent = self._dsu._parent
+        x -= 1
+        rx = x
+        while parent[rx] != rx:
+            rx = parent[rx]
+        while parent[x] != rx:
+            parent[x], x = rx, parent[x]
+        y -= 1
+        ry = y
+        while parent[ry] != ry:
+            ry = parent[ry]
+        while parent[y] != ry:
+            parent[y], y = ry, parent[y]
+        return rx == ry
 
     def partition(self) -> list[set[int]]:
         classes = [
@@ -125,11 +161,13 @@ class DecompTree:
     # -- edge insertion -----------------------------------------------------
 
     def insert_edge(self, x: int, y: int) -> None:
-        self._check_vertex(x)
-        self._check_vertex(y)
+        n = self.n_vertices
+        if not (type(x) is int and type(y) is int and 1 <= x <= n and 1 <= y <= n):
+            self._check_vertex(x)  # one of the two raises
+            self._check_vertex(y)
         if x == y:
             raise SelfLoopError(f"self-loop at vertex {x}")
-        if self._dsu.root_of(x - 1) != self._dsu.root_of(y - 1):
+        if self._leaf_of(x) is not self._leaf_of(y):
             self.affecting_insertions += 1
         # edges still owed an insertion; merges push displaced edges here
         owed = self._owed = [(x, y)]
@@ -179,26 +217,26 @@ class DecompTree:
         c1, c2 = path_x[-1], path_y[-1]
         b_nodes, b_payloads, z_bt = self._bf.compress_path(c1.bt_node, c2.bt_node)
         xs = [bn.handle for bn in b_nodes]
-        k = len(xs)
-        lvl2, lvl3 = nca.level + 1, nca.level + 2
 
-        # orient bridge payload (u, v) so entry[i] lands in xs[i] and
-        # exit[i] in xs[i] as well: enters[i] comes from the previous bridge
-        enters = [x]
+        # the 3-eccs where the path enters and leaves each xs[i]: bridge i
+        # leaves xs[i] at the end whose 3-ecc hangs from xs[i] and enters
+        # xs[i + 1] at the other
+        lvl3 = nca.level + 2
+        enters = [self._ancestor_at(x, lvl3)]
         exits = []
         for i, (u, v) in enumerate(b_payloads):
-            if self._ancestor_at(u, lvl2) is xs[i]:
-                exits.append(u)
-                enters.append(v)
+            du = self._ancestor_at(u, lvl3)
+            dv = self._ancestor_at(v, lvl3)
+            if du.parent is xs[i]:
+                exits.append(du)
+                enters.append(dv)
             else:
-                exits.append(v)
-                enters.append(u)
-        exits.append(y)
+                exits.append(dv)
+                enters.append(du)
+        exits.append(self._ancestor_at(y, lvl3))
 
         merged3 = []
-        for i in range(k):
-            a = self._ancestor_at(enters[i], lvl3)
-            b = self._ancestor_at(exits[i], lvl3)
+        for a, b in zip(enters, exits):
             if a is b:
                 merged3.append(a)
                 continue
@@ -241,8 +279,12 @@ class DecompTree:
         children; the others are discarded from the tree. The caller has
         merged their forest nodes and binds the merged one to the survivor,
         so none of the old forest nodes keeps its handle."""
-        survivor = max(nodes, key=lambda nd: len(nd.children))
-        parent = survivor.parent
+        survivor = nodes[0]
+        for nd in nodes:
+            if len(nd.children) > len(survivor.children):
+                survivor = nd
+        kids = survivor.children
+        siblings = survivor.parent.children
         for nd in nodes:
             fnode = nd.bt_node or nd.cx_node
             if fnode is not None:
@@ -251,9 +293,14 @@ class DecompTree:
                 continue
             for ch in nd.children:
                 ch.parent = survivor
-            survivor.children |= nd.children
-            parent.children.discard(nd)
+                ch._pos = len(kids)
+                kids.append(ch)
             nd.children = None
+            # the last sibling takes nd's slot
+            last = siblings.pop()
+            if last is not nd:
+                siblings[nd._pos] = last
+                last._pos = nd._pos
         return survivor
 
     def _condense(self, nca: DecompNode, z_real) -> None:
@@ -265,10 +312,10 @@ class DecompTree:
             # nca was the only 2-ecc below `grand`: grand itself is the new leaf
             leaves = self._collect_leaves(grand)
             self._unite_leaves(leaves, grand)
-            grand.children = set()
+            grand.children = []
         else:
             leaves = self._collect_leaves(nca)
-            nca.children = set()
+            nca.children = []
             d = self._new_node(nca)
             self._unite_leaves(leaves, d)
             # the compressed cactus is now a single real node; rebind it
@@ -344,9 +391,11 @@ class DecompTree:
                 leaves.append(node)
             elif not node.children and node is not self.root:
                 raise DecompError(f"internal {node} has no children")
-            for ch in node.children:
+            for i, ch in enumerate(node.children):
                 if ch.parent is not node:
                     raise DecompError(f"parent link broken at {ch}")
+                if ch._pos != i:
+                    raise DecompError(f"child slot broken at {ch}")
                 if ch.level != node.level + 1:
                     raise DecompError(f"level broken at {ch}")
                 stack.append(ch)

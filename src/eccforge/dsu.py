@@ -7,6 +7,10 @@ in O(1) per union, so listing a set costs time proportional to its size. A
 union clears the losing root's label, so the lists refer only to the labels
 of live sets.
 
+The public methods check every item they are given. `DecompTree`, which
+checks its vertices once at its own API, reads `_parent` and `_label`
+directly and runs the same find, with the same path compression, inline.
+
 The block and cactus forests merge their nodes with the same discipline, but
 on the node objects themselves rather than through a `DsuForest`:
 `_set_root` climbs a node's `_up` pointers (None at a set root) with path

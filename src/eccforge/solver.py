@@ -73,8 +73,7 @@ class Partition:
 def _adjacency(g: Multigraph) -> dict[int, dict[int, int]]:
     """g as vertex -> {neighbour: multiplicity}, every vertex a key."""
     adj: dict[int, dict[int, int]] = {v: {} for v in g.vertex_ids()}
-    for eid in g.edge_ids():
-        u, v = g.endpoints(eid)
+    for u, v in g._edges.values():  # one pass over the edge table
         adj[u][v] = adj[u].get(v, 0) + 1
         adj[v][u] = adj[v].get(u, 0) + 1
     return adj

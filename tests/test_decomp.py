@@ -66,17 +66,61 @@ def test_rejected_non_integer_vertex_changes_nothing():
         return tree.affecting_insertions, tree.total_insert_calls, tree.partition()
 
     before = snapshot()
-    with pytest.raises(UnknownVertexError):
-        tree.insert_edge(1.5, 2)
-    with pytest.raises(UnknownVertexError):
-        tree.insert_edge(2, 1.5)
-    with pytest.raises(UnknownVertexError):
-        tree.same_max_3ec(2, 1.5)
-    with pytest.raises(UnknownVertexError):
-        tree.subgraph_of(1.5)
-    with pytest.raises(UnknownVertexError):
-        tree.subgraph_of("1")
+    # the finds index the union-find's lists directly, so 0 or -1 slipping
+    # past the bound check would read another vertex instead of raising
+    for bad in (1.5, 0, -1, 4, 2.0, "1"):
+        with pytest.raises(UnknownVertexError):
+            tree.insert_edge(bad, 2)
+        with pytest.raises(UnknownVertexError):
+            tree.insert_edge(2, bad)
+        with pytest.raises(UnknownVertexError):
+            tree.same_max_3ec(bad, 2)
+        with pytest.raises(UnknownVertexError):
+            tree.same_max_3ec(2, bad)
+        with pytest.raises(UnknownVertexError):
+            tree.subgraph_of(bad)
     assert snapshot() == before
+    tree.validate()
+
+
+def test_bool_is_not_a_vertex():
+    # bool subclasses int, but True is not vertex 1
+    tree = DecompTree()
+    for _ in range(3):
+        tree.insert_vertex()
+    tree.insert_edge(1, 2)
+    def snapshot():
+        return tree.affecting_insertions, tree.total_insert_calls, tree.partition()
+
+    before = snapshot()
+    with pytest.raises(UnknownVertexError):
+        tree.insert_edge(True, 3)
+    with pytest.raises(UnknownVertexError):
+        tree.same_max_3ec(True, 1)
+    with pytest.raises(UnknownVertexError):
+        tree.subgraph_of(True)
+    assert snapshot() == before
+    tree.validate()
+
+
+def test_inlined_find_agrees_with_checked_find():
+    # same_max_3ec runs its finds on the union-find's lists; after every
+    # insert its answers match the checked DsuForest.root_of path
+    rng = random.Random(21)
+    g = planted_clusters(rng, 60, 12, 30, 200)
+    edges = [g.endpoints(e) for e in g.edge_ids()]
+    rng.shuffle(edges)
+    tree = DecompTree()
+    for _ in range(g.n):
+        tree.insert_vertex()
+    root_of = tree._dsu.root_of
+    for u, v in edges:
+        tree.insert_edge(u, v)
+        for x, y in [(u, v)] + [
+            (rng.randint(1, g.n), rng.randint(1, g.n)) for _ in range(3)
+        ]:
+            assert tree.same_max_3ec(x, y) == (root_of(x - 1) == root_of(y - 1))
+    assert len(edges) == 2000
     tree.validate()
 
 
@@ -368,14 +412,15 @@ def test_engine_holds_only_live_structure(n, edges):
 
 def _give_leaf_a_child(tree, by_level):
     leaf = by_level[3][0]
-    leaf.children.add(DecompNode(leaf))
+    leaf.children.append(DecompNode(leaf))
 
 
 def _reparent_grandchild_to_root(tree, by_level):
     node = by_level[2][0]
-    node.parent.children.discard(node)
+    node.parent.children.remove(node)
     node.parent = tree.root
-    tree.root.children.add(node)
+    node._pos = len(tree.root.children)
+    tree.root.children.append(node)
 
 
 def _clear_block_handle(tree, by_level):
@@ -397,8 +442,13 @@ def _swap_leaf_items(tree, by_level):
 
 def _make_2ecc_a_leaf(tree, by_level):
     node = by_level[2][0]
-    node.dsu_item = next(iter(node.children)).dsu_item
-    node.children = set()
+    node.dsu_item = node.children[0].dsu_item
+    node.children = []
+
+
+def _stale_child_slot(tree, by_level):
+    a, b = by_level[2]
+    a._pos, b._pos = b._pos, a._pos
 
 
 def _leak_a_cycle(tree, by_level):
@@ -420,6 +470,7 @@ def _forget_live_cycles(tree, by_level):
         _drop_cactus_node,
         _swap_leaf_items,
         _make_2ecc_a_leaf,
+        _stale_child_slot,
         _leak_a_cycle,
         _forget_live_cycles,
     ],
