@@ -15,13 +15,13 @@ Real nodes merge through union-find links kept on the nodes themselves
 (`dsu._set_root`, union by size with path compression), so stored real-node
 references must be resolved to their set's live node, `_set_root(x)._rep`
 (what `representative` returns), before use. A cycle stores no parent of its
-own: `cycle_parent` resolves the real node of its parent entry, so no merge
-leaves a stale cycle parent behind, and a merged node drops its own parent
-and entry links. Cycle nodes never merge. A cycle leaves `cycles()` when its
-list dissolves or when the decomposition tree discards its cactus
-(`_retire_cycle_above`), so the forest refers only to live cycles; the
-origin of each cycle keeps that join's walk budget, and `walk_touches`
-counts every walk step forest-wide.
+own: its parent is the live node of its parent entry's real node,
+`representative(cyc.parent_entry.real)`, so no merge leaves a stale cycle
+parent behind, and a merged node drops its own parent and entry links.
+Cycle nodes never merge. A cycle leaves `cycles()` when its list dissolves or
+when the decomposition tree discards its cactus (`_retire_cycle_above`), so
+the forest refers only to live cycles; the origin of each cycle keeps that
+join's walk budget, and `walk_touches` counts every walk step forest-wide.
 
 compress_cycle_path merges through one squeeze per cycle on the path,
 `_squeeze(u, v, ve, cyc)`: a child member u of cyc merges into v, whose entry
@@ -116,9 +116,6 @@ class CactusForest:
 
     def is_live(self, node: RealNode) -> bool:
         return _set_root(node)._rep is node
-
-    def cycle_parent(self, cyc: CycleNode) -> RealNode:
-        return _set_root(cyc.parent_entry.real)._rep
 
     def root_path(self, node: RealNode) -> list:
         """Alternating real/cycle nodes from `node` up to its cactus root."""

@@ -9,6 +9,16 @@ vertex union-find, which is labelled by leaves and answers same-subgraph
 queries. Non-leaf component nodes carry a block tree of their 2-eccs, and
 non-leaf 2-ecc nodes carry a cactus of their 3-eccs.
 
+A vertex with no edge yet is only a union-find slot labelled None, a
+singleton class with no tree node and no forest node, so `insert_vertex` is
+O(1). Its first edge takes the `_attach` path instead of the general
+insertion: such an edge always bridges two components, so `_attach` builds
+the edgeless end's 2-ecc/3-ecc pair under the other end's 1-ecc (both ends'
+pairs under one fresh 1-ecc when both are edgeless) and links the two block
+trees, with no common-ancestor climb and no sibling merge. The root, which
+may have condensed into a leaf while edgeless vertices waited, is expanded
+first.
+
 Edge insertion locates the nearest common ancestor of the two endpoint leaves
 and rewrites only that node's attached structure; interconnection edges that
 fall inside a freshly merged 3-ecc go on a worklist of owed insertions, which
@@ -88,34 +98,29 @@ class DecompTree:
     # -- vertex / query surface ------------------------------------------
 
     def insert_vertex(self) -> int:
-        if self.root.dsu_item is not None:
-            # the whole graph had condensed into the root; its class moves
-            # down so the root can take new components again
-            self._expand_leaf(self.root)
-        v = self.n_vertices + 1
-        self.n_vertices = v
-        c3 = self._new_chain(self.root)
-        item = self._dsu.make_set(c3)
-        assert item == v - 1
-        c3.dsu_item = item
-        return v
+        # an edgeless vertex is one union-find slot labelled None; its tree
+        # nodes wait for its first edge (`_attach`)
+        self._dsu.make_set(None)
+        self.n_vertices += 1
+        return self.n_vertices
 
-    def _new_chain(self, top: DecompNode) -> DecompNode:
-        """Fresh 1-ecc/2-ecc/3-ecc chain below `top`; returns the leaf."""
-        c1 = self._new_node(top)
+    def _new_pair(self, c1: DecompNode, item: int) -> DecompNode:
+        """Fresh 2-ecc/3-ecc pair below the 1-ecc `c1`; returns the 3-ecc,
+        a leaf holding `item`, which the caller labels with it."""
         c2 = self._new_node(c1)
         c3 = self._new_node(c2)
         c2.bt_node = self._bf.new_node(c2)
         c3.cx_node = self._cf.new_node(c3)
+        c3.dsu_item = item
         return c3
 
     def _check_vertex(self, v: int) -> None:
         if not (type(v) is int and 1 <= v <= self.n_vertices):
             raise UnknownVertexError(f"unknown vertex {v}")
 
-    def _leaf_of(self, v: int) -> DecompNode:
-        """Leaf holding the checked vertex v: the union-find's find, with
-        path compression, run on its lists."""
+    def _leaf_of(self, v: int) -> Optional[DecompNode]:
+        """Leaf holding the checked vertex v, None while v is edgeless: the
+        union-find's find, with path compression, run on its lists."""
         parent = self._dsu._parent
         x = r = v - 1
         while parent[r] != r:
@@ -167,7 +172,12 @@ class DecompTree:
             self._check_vertex(y)
         if x == y:
             raise SelfLoopError(f"self-loop at vertex {x}")
-        if self._leaf_of(x) is not self._leaf_of(y):
+        leaf_x = self._leaf_of(x)
+        leaf_y = self._leaf_of(y)
+        if leaf_x is None or leaf_y is None:
+            self._attach(x, y)
+            return
+        if leaf_x is not leaf_y:
             self.affecting_insertions += 1
         # edges still owed an insertion; merges push displaced edges here
         owed = self._owed = [(x, y)]
@@ -201,6 +211,36 @@ class DecompTree:
         # strictly deeper
         self._owed.append((x, y))
         self._merge3ecc([q.handle for q in q_nodes], q_payloads, z_real)
+
+    def _attach(self, x: int, y: int) -> None:
+        """First edge at an edgeless end: it bridges two components, so it is
+        affecting and lands at the root. Each edgeless end gets a 2-ecc/3-ecc
+        pair under the other end's 1-ecc, or under one fresh 1-ecc when both
+        are edgeless, and the block trees link in the caller's orientation."""
+        self.total_insert_calls += 1
+        self.affecting_insertions += 1
+        if self.root.dsu_item is not None:
+            # the rest of the graph had condensed into the root; its class
+            # moves down so the root can take the new component
+            self._expand_leaf(self.root)
+        ends = []
+        c1 = None
+        for v in (x, y):
+            node = self._leaf_of(v)
+            if node is not None:
+                while node.level > 2:
+                    node = node.parent
+                c1 = node.parent
+            ends.append(node)
+        if c1 is None:
+            c1 = self._new_node(self.root)
+        label = self._dsu._label
+        for i, v in enumerate((x, y)):
+            if ends[i] is None:
+                # an edgeless vertex is its own union-find root
+                leaf = label[v - 1] = self._new_pair(c1, v - 1)
+                ends[i] = leaf.parent
+        self._bf.join_trees(ends[0].bt_node, ends[1].bt_node, (x, y))
 
     def _insert_at_component(self, path_x, path_y, x: int, y: int) -> None:
         """The new edge bridges two connected components: merge the 1-ecc
@@ -269,10 +309,9 @@ class DecompTree:
         return survivor
 
     def _expand_leaf(self, d: DecompNode) -> None:
-        c3 = self._new_chain(d)
-        self._dsu.set_label(d.dsu_item, c3)
-        c3.dsu_item = d.dsu_item
+        item = d.dsu_item
         d.dsu_item = None
+        self._dsu.set_label(item, self._new_pair(self._new_node(d), item))
 
     def _merge_siblings(self, nodes: list[DecompNode]) -> DecompNode:
         """Redirect children of the smaller nodes into the one with the most
@@ -375,8 +414,9 @@ class DecompTree:
 
     def validate(self) -> None:
         """Debug audit: levels, handle bijections, the leaf/DSU
-        correspondence, and that the cactus forest holds exactly the cycles
-        of the live cactuses. Raises DecompError on any violation."""
+        correspondence (every class is a leaf's or an edgeless vertex's
+        singleton), and that the cactus forest holds exactly the cycles of
+        the live cactuses. Raises DecompError on any violation."""
         leaves = []
         cycles = set()
         stack = [self.root]
@@ -407,11 +447,19 @@ class DecompTree:
         cycles.discard(None)
         if cycles != self._cf.cycles():
             raise DecompError("cactus forest cycles differ from the live cactuses'")
-        if len(leaves) != self._dsu.num_sets:
-            raise DecompError("leaf count disagrees with class count")
+        dsu = self._dsu
+        edgeless = [r for r in dsu.roots() if dsu.label_of(r) is None]
+        for r in edgeless:
+            if dsu.size_of(r) != 1:
+                raise DecompError(f"edgeless class of vertex {r + 1} is not a singleton")
         for lf in leaves:
-            if self._dsu.label_of(lf.dsu_item) is not lf:
+            label = dsu.label_of(lf.dsu_item)
+            if label is None:
+                raise DecompError(f"leaf {lf} holds an edgeless vertex")
+            if label is not lf:
                 raise DecompError(f"class label broken at leaf {lf}")
+        if len(leaves) + len(edgeless) != dsu.num_sets:
+            raise DecompError("leaf and edgeless counts disagree with class count")
 
     def _check_binding(self, node: DecompNode, forest, attr: str) -> None:
         """The children of `node` are bound one-to-one to the nodes of one

@@ -104,10 +104,6 @@ class Multigraph:
     def multiplicity(self, u: int, v: int) -> int:
         return sum(1 for eid in self.incident(u) if self._other(eid, u) == v)
 
-    def neighbors(self, v: int) -> Iterator[int]:
-        for eid in self.incident(v):
-            yield self._other(eid, v)
-
     def _other(self, eid: int, v: int) -> int:
         a, b = self._edges[eid]
         return b if v == a else a

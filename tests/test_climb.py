@@ -73,7 +73,7 @@ def test_cactus_meet_at_cycle_node():
     cf.join_cactuses([a, b, c, d], ["ab", "bc", "cd", "da"])
     # the last of equally large cactuses becomes the parent of the new cycle
     (cyc,) = cf.cycles()
-    assert cf.cycle_parent(cyc) is d
+    assert cf.representative(cyc.parent_entry.real) is d
     path_a, path_c = meet_paths(a, c, cf._up)
     assert path_a == [a, cyc] and path_c == [c, cyc]
     assert isinstance(path_a[-1], CycleNode)

@@ -29,20 +29,79 @@ def as_sets(partition):
     return set(map(frozenset, partition))
 
 
-def test_insert_vertex_trivial_chain():
+def test_edgeless_vertex_holds_no_tree_nodes():
     tree = DecompTree()
-    v = tree.insert_vertex()
-    assert v == 1
-    assert tree.same_max_3ec(1, 1)
-    assert tree.partition() == [{1}]
-    # root plus the 1ecc/2ecc/3ecc chain
-    assert tree.root.level == 0
-    chain = list(tree.root.children)
-    assert len(chain) == 1 and chain[0].level % 3 == 1
+    before = _engine_objects()
+    assert [tree.insert_vertex() for _ in range(50)] == list(range(1, 51))
+    # one union-find slot each, and no tree or forest node
+    assert _engine_objects() == before
+    assert tree.root.children == []
     tree.validate()
-    w = tree.insert_vertex()
-    assert not tree.same_max_3ec(v, w)
-    assert tree.count() == 2
+    # still a singleton class to every query
+    assert tree.same_max_3ec(1, 1) and not tree.same_max_3ec(1, 2)
+    assert tree.partition() == [{v} for v in range(1, 51)]
+    assert tree.subgraph_of(7) == {7}
+    assert tree.count() == 50
+    # the first edge builds a 2-ecc/3-ecc pair for each end under one 1-ecc
+    tree.insert_edge(1, 2)
+    (c1,) = tree.root.children
+    assert c1.level == 1 and len(c1.children) == 2
+    for c2 in c1.children:
+        assert c2.level == 2 and c2.bt_node is not None
+        (c3,) = c2.children
+        assert c3.level == 3 and c3.dsu_item is not None and c3.cx_node is not None
+    assert {tree._leaf_of(1), tree._leaf_of(2)} == {c2.children[0] for c2 in c1.children}
+    assert tree._leaf_of(3) is None
+    assert (tree.total_insert_calls, tree.affecting_insertions) == (1, 1)
+    assert tree.count() == 50
+    tree.validate()
+
+
+def _check_each_step(n, edges):
+    """Insert `edges` on n vertices, comparing the partition with the oracle
+    and auditing the tree after every operation."""
+    tree = DecompTree()
+    g = Multigraph()
+    for _ in range(n):
+        tree.insert_vertex()
+        g.add_vertex()
+        tree.validate()
+    for u, v in edges:
+        tree.insert_edge(u, v)
+        g.add_edge(u, v)
+        assert as_sets(tree.partition()) == maximal_kec_bruteforce(g, 3).as_sets()
+        tree.validate()
+    return tree
+
+
+def test_first_edges_after_the_root_condenses():
+    # K4 on 1..4 condenses the whole tree into the root while 5 and 6 are
+    # still edgeless; their first edges must demote the root's class
+    tree = _check_each_step(6, K4_EDGES)
+    assert tree.root.dsu_item is not None and tree.root.children == []
+    assert tree.partition() == [{1, 2, 3, 4}, {5}, {6}]
+    tree = _check_each_step(
+        6, K4_EDGES + [(5, 6), (6, 1), (5, 2), (6, 3), (5, 4), (5, 6)]
+    )
+    assert tree.partition() == [{1, 2, 3, 4, 5, 6}]
+    # a second condensed root, demoted by an edge between two edgeless ends
+    tree = _check_each_step(7, K4_EDGES + [(5, 6), (7, 5), (7, 6), (1, 7)])
+    assert tree.count() == 4
+
+
+@pytest.mark.parametrize(
+    "first",
+    [(5, 1), (1, 5), (5, 6)],
+    ids=["x-edgeless", "y-edgeless", "both-edgeless"],
+)
+def test_first_edge_at_an_edgeless_end(first):
+    # two triangles joined by a bridge, then a first edge at an edgeless
+    # vertex 5 (and 6), then edges that pull the new vertices into blocks
+    base = [(1, 2), (2, 3), (3, 1), (4, 6), (4, 7), (6, 7), (3, 4)]
+    if first == (5, 6):
+        base = [(1, 2), (2, 3), (3, 1), (3, 4)]
+    tail = [(5, 2), (5, 3), (5, 1), (1, 6), (2, 6), (6, 5), (4, 5), (7, 1)]
+    _check_each_step(7, base + [first] + tail)
 
 
 def test_insert_edge_errors():
@@ -260,7 +319,7 @@ def test_same_leaf_insert_is_structural_noop():
 def test_whole_graph_condenses_to_root_then_grows():
     tree, _ = replay(K4_EDGES, 4)
     assert tree.root.dsu_item is not None or tree.count() == 1
-    v = tree.insert_vertex()  # must demote the condensed root cleanly
+    v = tree.insert_vertex()  # the root stays condensed until 5 gets an edge
     assert v == 5
     tree.validate()
     assert tree.partition() == [{1, 2, 3, 4}, {5}]
@@ -322,8 +381,8 @@ def test_merge_adjacent_cycle_members_one_reinsertion():
 
 
 def test_tree_size_stays_linear():
-    # empirically the ratio tops out just under 4 nodes per vertex (the
-    # insert_vertex chain); 6n + 1 is a comfortable linear ceiling
+    # empirically the ratio tops out just under 4 nodes per vertex (a
+    # 1-ecc/2-ecc/3-ecc chain); 6n + 1 is a comfortable linear ceiling
     def count_nodes(tree):
         total = 0
         stack = [tree.root]
@@ -387,8 +446,12 @@ def _planted_stream(n):
 
 @pytest.mark.parametrize(
     "n, edges",
-    [(128, staircase_sequence(128)), (1024, _planted_stream(1024))],
-    ids=["staircase-128", "planted-1024"],
+    [
+        (128, staircase_sequence(128)),
+        (1024, _planted_stream(1024)),
+        (2048, _planted_stream(1024)),
+    ],
+    ids=["staircase-128", "planted-1024", "planted-1024-half-edgeless"],
 )
 def test_engine_holds_only_live_structure(n, edges):
     # O(n) space: what the engine keeps of each node type stays within a
@@ -408,6 +471,17 @@ def test_engine_holds_only_live_structure(n, edges):
     # and no discarded tree node outlives its discarding
     assert added[DecompNode] - before[DecompNode] == live
     tree.validate()
+    edged = {v for e in edges for v in e}
+    if len(edged) < n:
+        # vertices that never got an edge hold no tree or forest node: the
+        # engine keeps exactly what it keeps without them
+        assert all(tree._leaf_of(v) is None for v in range(1, n + 1) if v not in edged)
+        del tree
+        base = _engine_objects()
+        without, _ = replay(edges, max(edged))
+        assert {k: c - base[k] for k, c in _engine_objects().items()} == {
+            k: added[k] - before[k] for k in ENGINE_TYPES
+        }
 
 
 def _give_leaf_a_child(tree, by_level):
@@ -451,6 +525,21 @@ def _stale_child_slot(tree, by_level):
     a._pos, b._pos = b._pos, a._pos
 
 
+def _unite_two_edgeless(tree, by_level):
+    a, b = tree.insert_vertex(), tree.insert_vertex()
+    tree._dsu.unite(a - 1, b - 1, None)
+
+
+def _unlabel_a_leaf(tree, by_level):
+    leaf = by_level[3][0]
+    tree._dsu.set_label(leaf.dsu_item, None)
+
+
+def _label_edgeless_with_a_2ecc(tree, by_level):
+    v = tree.insert_vertex()
+    tree._dsu.set_label(v - 1, by_level[2][0])
+
+
 def _leak_a_cycle(tree, by_level):
     cf = tree._cf
     cf.join_cactuses([cf.new_node(None), cf.new_node(None)], [None, None])
@@ -471,6 +560,9 @@ def _forget_live_cycles(tree, by_level):
         _swap_leaf_items,
         _make_2ecc_a_leaf,
         _stale_child_slot,
+        _unite_two_edgeless,
+        _unlabel_a_leaf,
+        _label_edgeless_with_a_2ecc,
         _leak_a_cycle,
         _forget_live_cycles,
     ],
