@@ -22,13 +22,16 @@ than the thinner class saves. The class keeps its name for its callers.
 
 The flow check of a delete stays near u and v, in the spirit of the local
 cut algorithms of Forster et al. (SODA 2020). It first takes the short
-paths: the parallel u-v copies left, then one u-w-v path through each
-common neighbour w in C, and stops once it holds k. Each path still missing
-is one augmenting search of C's residual graph, grown a level at a time from
-whichever of u and v has the smaller frontier, until the two searches meet;
-when either runs dry, C splits. On a random graph with one giant class such
-a check reads a few dozen adjacency rows, where a search from u alone reads
-over a third of C.
+paths of up to three edges, scanned from whichever of u and v has the
+smaller row: the parallel u-v copies left, then one u-w-v path through each
+common neighbour w in C, then greedy u-a-b-v paths with a and b in C over
+copies no earlier path took, and it stops once it holds k. Each path still
+missing is one augmenting search of C's residual graph, grown a level at a
+time from whichever of u and v has the smaller frontier, until the two
+searches meet; when either runs dry, C splits. On a dense class (n = 40,
+m = 5n) the short paths settle most checks with no search; on a random
+graph with one giant class a check reads a few dozen adjacency rows, where
+a search from u alone reads over a third of C.
 
 Flows and solves read the adjacency itself, restricted to the class or the
 component (`solver.kec_classes`), so no update builds a graph. Only the build
@@ -44,9 +47,16 @@ from .solver import Partition, _adjacency, kec_classes
 
 def _push(flow: dict[int, dict[int, int]], x: int, y: int, units: int) -> None:
     """Send `units` of flow from x to y: net(x, y) += units, net(y, x) -= units."""
-    for a, b, step in ((x, y, units), (y, x, -units)):
-        row = flow.setdefault(a, {})
-        row[b] = row.get(b, 0) + step
+    row = flow.get(x)
+    if row is None:
+        flow[x] = {y: units}
+    else:
+        row[y] = row.get(y, 0) + units
+    row = flow.get(y)
+    if row is None:
+        flow[y] = {x: -units}
+    else:
+        row[x] = row.get(x, 0) - units
 
 
 def _augment(
@@ -102,22 +112,57 @@ def _has_k_paths(
     restricted to the vertices of class c, holds k edge-disjoint s-t paths.
 
     A unit-capacity flow that stays near s and t. It starts from the short
-    paths: the parallel s-t copies, then one s-w-t path through each common
-    neighbour w in the class. These are edge-disjoint, so they form a
-    feasible flow, and augmenting paths take any feasible flow to a maximum
-    one. Each missing path is then one two-ended search (`_augment`)."""
-    flow: dict[int, dict[int, int]] = {}  # x -> {y: net flow x to y}, used pairs only
+    paths, scanned from whichever of s and t has the smaller row: the
+    parallel s-t copies, then one s-w-t path through each common neighbour w
+    in the class, then greedy s-a-b-t paths with a and b in the class, each
+    taking only arcs with spare capacity (multiplicity less the net flow
+    already sent). These are edge-disjoint, so they form a feasible flow, and
+    augmenting paths take any feasible flow to a maximum one. Each missing
+    path is then one two-ended search (`_augment`). It returns as soon as it
+    holds k paths."""
     row_s, row_t = adj[s], adj[t]
     paths = row_s.get(t, 0)
-    if paths:
-        _push(flow, s, t, paths)
-    for w in row_s.keys() & row_t.keys():
-        if paths >= k:
-            return True
-        if class_of[w] == c:
+    if paths >= k:
+        return True
+    # x -> {y: net flow x to y}; s and t get a row up front, others when used
+    flow: dict[int, dict[int, int]] = {s: {t: paths}, t: {s: -paths}}
+    # near is the end with the smaller row and far the other; sign is +1 when
+    # near is s, so an arc near -> x, read in scan order, has spare capacity
+    # mult - sign * net(near, x), as in `_augment`
+    if len(row_s) <= len(row_t):
+        near, far, sign, row_near, row_far = s, t, 1, row_s, row_t
+    else:
+        near, far, sign, row_near, row_far = t, s, -1, row_t, row_s
+    for w in row_near:
+        if w in row_far and class_of[w] == c:
             _push(flow, s, w, 1)
             _push(flow, w, t, 1)
             paths += 1
+            if paths >= k:
+                return True
+    # near-a-b-far. near -> far has no spare copy left. a -> b has all its
+    # mult(a, b) copies spare: each pair (a, b) is tried once, so an earlier
+    # path can only have crossed it from b to a
+    used_near, used_far = flow[near], flow[far]
+    for a, mult in row_near.items():
+        spare_a = mult - sign * used_near.get(a, 0)
+        if spare_a <= 0 or class_of[a] != c:
+            continue
+        for b, mult_ab in adj[a].items():
+            if b == near or b not in row_far or class_of[b] != c:
+                continue
+            units = min(spare_a, mult_ab, row_far[b] + sign * used_far.get(b, 0))
+            if units <= 0:
+                continue
+            _push(flow, near, a, sign * units)
+            _push(flow, a, b, sign * units)
+            _push(flow, b, far, sign * units)
+            paths += units
+            if paths >= k:
+                return True
+            spare_a -= units
+            if not spare_a:
+                break
     return all(_augment(adj, class_of, c, s, t, flow) for _ in range(paths, k))
 
 
@@ -127,8 +172,9 @@ class SparsTree:
 
     An update changes the adjacency by one edge and, for a delete inside a
     class, checks for k edge-disjoint paths between the edge's ends: the
-    short ones (parallel copies, then paths through common neighbours)
-    first, then one two-ended augmenting search per path still missing.
+    short ones (parallel copies, paths through one common neighbour, then
+    paths through two class vertices) first, then one two-ended augmenting
+    search per path still missing.
     Solves are left to rarer events: a delete whose check falls short solves
     its class, and an insert between classes solves its component's
     quotient. The name is kept for its callers; the engine holds no

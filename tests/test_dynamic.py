@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -259,6 +260,37 @@ def _adjacency(n, edges):
     return adj
 
 
+def _class_lambda(n, edges, class_of, c, s, t):
+    """The flow oracle's count of edge-disjoint s-t paths inside class c."""
+    g = _graph_of(n, edges)
+    inside = [
+        e for e in g.edge_ids() if all(class_of[x] == c for x in g.endpoints(e))
+    ]
+    return edge_connectivity(g.subgraph_with_edges(inside), s, t)
+
+
+def _count_results(monkeypatch, name):
+    """Count the results of every call to `eccforge.dynamic.<name>`."""
+    import eccforge.dynamic
+
+    results = Counter()
+    real = getattr(eccforge.dynamic, name)
+
+    def spy(*args):
+        found = real(*args)
+        results[found] += 1
+        return found
+
+    monkeypatch.setattr(eccforge.dynamic, name, spy)
+    return results
+
+
+@pytest.fixture
+def augments(monkeypatch):
+    """The result of every two-ended search `_has_k_paths` makes."""
+    return _count_results(monkeypatch, "_augment")
+
+
 def test_has_k_paths_matches_flow_oracle_on_the_class():
     rng = random.Random(0xF1)
     answers = Counter()
@@ -273,11 +305,7 @@ def test_has_k_paths_matches_flow_oracle_on_the_class():
         if len(members) < 2:
             continue
         s, t = rng.sample(members, 2)
-        g = _graph_of(n, edges)
-        inside = [
-            e for e in g.edge_ids() if all(class_of[x] == c for x in g.endpoints(e))
-        ]
-        want = edge_connectivity(g.subgraph_with_edges(inside), s, t) >= k
+        want = _class_lambda(n, edges, class_of, c, s, t) >= k
         got = _has_k_paths(_adjacency(n, edges), class_of, c, s, t, k)
         assert got == want, (n, k, edges, class_of, s, t)
         answers[got] += 1
@@ -291,10 +319,90 @@ def test_has_k_paths_ignores_a_path_that_leaves_the_class():
     assert not _has_k_paths(adj, {1: 0, 2: 0, 3: 1}, 0, 1, 2, 3)
 
 
+@pytest.mark.parametrize(
+    "edges, outside, k, held",
+    [
+        # a double s-a edge feeds two s-a-b-t paths, through b = 3 and b = 4
+        ([(1, 2), (1, 2), (2, 3), (2, 4), (3, 5), (4, 5)], (), 2, True),
+        ([(1, 2), (1, 2), (2, 3), (2, 4), (3, 5), (4, 5)], (), 3, False),
+        # common neighbour 2 carries 1-2-5 on one copy of 1-2 and 1-2-3-5 on
+        # its spare copy
+        ([(1, 2), (1, 2), (2, 5), (2, 3), (3, 5)], (), 2, True),
+        # the direct 1-5 copy and 1-2-3-5, but 3 leaves the class
+        ([(1, 5), (1, 2), (2, 3), (3, 5)], (), 2, True),
+        ([(1, 5), (1, 2), (2, 3), (3, 5)], (3,), 2, False),
+        # 1-3-5 takes 3's only arc to 5, so 1-2-3-5 finds no spare capacity
+        ([(1, 3), (3, 5), (1, 2), (2, 3)], (), 2, False),
+    ],
+    ids=[
+        "double-s-a-edge",
+        "double-s-a-edge-short-of-3",
+        "spare-copy-of-common-neighbour",
+        "b-in-class",
+        "b-outside-class",
+        "b-arc-to-t-used",
+    ],
+)
+def test_has_k_paths_takes_length_three_paths(augments, edges, outside, k, held):
+    """s-a-b-t paths on small multigraphs, against the flow oracle, scanned
+    from either end: a check they settle makes no augmenting search."""
+    class_of = {x: int(x in outside) for x in range(1, 6)}
+    for s, t in ((1, 5), (5, 1)):
+        augments.clear()
+        assert (_class_lambda(5, edges, class_of, 0, s, t) >= k) == held
+        assert _has_k_paths(_adjacency(5, edges), class_of, 0, s, t, k) == held
+        assert augments[True] == 0
+        assert augments[False] == (not held)
+
+
+def _ring(rng, n):
+    return [(i, i % n + 1) for i in range(1, n + 1) for _ in range(rng.randint(1, 2))]
+
+
+def _ladder(rng, n):
+    """Two rails of n // 2 vertices, 1.. and n // 2 + 1.., and a rung at each
+    position; every edge has one or two copies."""
+    half = n // 2
+    pairs = [(i, i + 1) for i in range(1, half)]
+    pairs += [(half + i, half + i + 1) for i in range(1, half)]
+    pairs += [(i, half + i) for i in range(1, half + 1)]
+    return [e for e in pairs for _ in range(rng.randint(1, 2))]
+
+
+def test_has_k_paths_searches_between_far_ends(augments):
+    """Rings and ladders with parallel edges, s and t at least 4 apart: no
+    short path exists, so every path comes from the two-ended search, and
+    the answers match the flow oracle at k = 2..3."""
+    rng = random.Random(0xFA4)
+    answers = Counter()
+    for _ in range(120):
+        if rng.random() < 0.5:
+            n = rng.randint(8, 16)
+            edges = _ring(rng, n)
+            s = rng.randint(1, n)
+            t = (s + rng.randint(4, n - 4) - 1) % n + 1
+        else:
+            n = 2 * rng.randint(5, 8)
+            edges = _ladder(rng, n)
+            half = n // 2
+            s = rng.randint(1, half - 4)
+            t = rng.randint(s + 4, half) + rng.choice((0, half))
+        class_of = dict.fromkeys(range(1, n + 1), 0)
+        if rng.random() < 0.3:  # one vertex off the class may cut a side
+            class_of[rng.choice([x for x in class_of if x not in (s, t)])] = 1
+        k = rng.randint(2, 3)
+        want = _class_lambda(n, edges, class_of, 0, s, t) >= k
+        assert _has_k_paths(_adjacency(n, edges), class_of, 0, s, t, k) == want
+        answers[want] += 1
+    assert answers[True] > 20 and answers[False] > 20
+    assert augments[True] > 100 and augments[False] > 20
+
+
 def test_has_k_paths_matches_flow_oracle_past_the_short_paths():
     """Dense multigraphs of 10-40 vertices, where the parallel s-t copies and
     the s-w-t paths through common neighbours often fall short of k, so the
-    two-ended augmenting search has to find the rest or the cut."""
+    s-a-b-t paths and the two-ended augmenting search have to find the rest
+    or the cut."""
     rng = random.Random(0xB1D)
     answers = Counter()
     searched = 0
@@ -314,11 +422,7 @@ def test_has_k_paths_matches_flow_oracle_past_the_short_paths():
             class_of[w] == c for w in adj[s].keys() & adj[t].keys()
         )
         searched += short < k
-        g = _graph_of(n, edges)
-        inside = [
-            e for e in g.edge_ids() if all(class_of[x] == c for x in g.endpoints(e))
-        ]
-        want = edge_connectivity(g.subgraph_with_edges(inside), s, t) >= k
+        want = _class_lambda(n, edges, class_of, c, s, t) >= k
         got = _has_k_paths(adj, class_of, c, s, t, k)
         assert got == want, (n, k, edges, class_of, s, t)
         answers[got] += 1
@@ -338,7 +442,7 @@ class _RowCounter(dict):
 
 def test_has_k_paths_reads_only_rows_near_the_deleted_edge():
     """On a random m = 6n multigraph at n = 4 096, one giant class at k = 3, a
-    delete's check reads a few dozen adjacency rows (median 48 here), where
+    delete's check reads a few dozen adjacency rows (median 53 here), where
     a search grown from s alone reads a share of the class (median 2 404)."""
     rng = random.Random(0x10C)
     n, k = 4096, 3
@@ -430,3 +534,28 @@ def test_parallel_links_count_in_merge_and_split(solve_sizes):
         frozenset({5, 6, 7, 8}),
     }
     assert (st.full_solves, st.flow_checks, solve_sizes) == (1, 1, [8, 2, 2, 2, 8])
+
+
+def test_decisions_pinned_on_a_seeded_stream(monkeypatch):
+    """The flow checks, their answers and the partition after every burst
+    of updates on one seeded stream (k = 3, n = 24, seed graph of n edges
+    growing to ~5n); the values are the engine's decisions on this stream,
+    so a change to the delete check or the merge that alters a decision,
+    not only its cost, fails here."""
+    held = _count_results(monkeypatch, "_has_k_paths")
+    n = 24
+    stream = random_dynamic_stream(random.Random(1), n, 400, seed_edges=n)
+    st = SparsTree(_graph_of(n, []), 3)
+    digest = hashlib.sha256()
+    bursts = 0
+    for i, op in enumerate(stream):
+        if op[0] in ("ae", "de"):
+            (st.insert if op[0] == "ae" else st.delete)(op[1], op[2])
+            if i + 1 == len(stream) or stream[i + 1][0] == "q":
+                digest.update(repr(st.partition()).encode())
+                bursts += 1
+    assert (st.flow_checks, st.full_solves, bursts) == (70, 1, 91)
+    assert (held[True], held[False]) == (57, 13)
+    assert digest.hexdigest() == (
+        "2c763d11325cd17d2f95c356c02cf0019eb2d84426c8836302f68b9b30047408"
+    )
