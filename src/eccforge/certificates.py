@@ -48,14 +48,13 @@ def forest_decomposition(g: Multigraph, t: int) -> ForestDecomposition:
     count = [0] * (g.n + 1)
     scanned = [False] * (g.n + 1)
     heap = [(0, v) for v in g.vertex_ids()]  # ascending, so already a heap
-    ends = g._edges  # eid -> (u, v), read here without an accessor call per edge
     while heap:
         neg, x = heapq.heappop(heap)
         if scanned[x] or -neg != count[x]:
             continue  # a stale entry: x was scanned or its count has grown
         scanned[x] = True
         for eid in g.incident(x):
-            a, b = ends[eid]
+            a, b = g.endpoints(eid)
             y = b if a == x else a
             if scanned[y]:
                 continue

@@ -146,11 +146,8 @@ class Multigraph:
         g._n = self._n
         g._next_edge = self._next_edge
         g._adj = {v: [] for v in self.vertex_ids()}
-        ends = self._edges
         for eid in sorted(keep):
-            if eid not in ends:
-                raise UnknownEdgeError(f"unknown edge {eid}")
-            u, v = ends[eid]
+            u, v = self.endpoints(eid)
             g._edges[eid] = (u, v)
             g._adj[u].append(eid)
             g._adj[v].append(eid)
