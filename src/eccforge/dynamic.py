@@ -21,17 +21,19 @@ it, rebuilding certificates along a tree path on every update costs far more
 than the thinner class saves. The class keeps its name for its callers.
 
 The flow check of a delete stays near u and v, in the spirit of the local
-cut algorithms of Forster et al. (SODA 2020). It first takes the short
-paths of up to three edges, scanned from whichever of u and v has the
-smaller row: the parallel u-v copies left, then one u-w-v path through each
-common neighbour w in C, then greedy u-a-b-v paths with a and b in C over
-copies no earlier path took, and it stops once it holds k. Each path still
-missing is one augmenting search of C's residual graph, grown a level at a
-time from whichever of u and v has the smaller frontier, until the two
-searches meet; when either runs dry, C splits. On a dense class (n = 40,
-m = 5n) the short paths settle most checks with no search; on a random
-graph with one giant class a check reads a few dozen adjacency rows, where
-a search from u alone reads over a third of C.
+cut algorithms of Forster et al. (SODA 2020). It first counts the short
+paths of up to three edges, read from whichever of u and v has the smaller
+row: the parallel u-v copies left, then one u-w-v path through each common
+neighbour w in C, then greedy u-a-b-v paths with a and b in C over copies no
+earlier path took, and it stops once it holds k. Counting needs no flow: the
+check keeps only the paths it took. When they fall short, they become a flow,
+and each path still missing is one augmenting search of C's residual graph,
+grown a level at a time from whichever of u and v has the smaller frontier,
+until the two searches meet; when either runs dry, C splits. On a dense
+class (n = 40, m = 5n) the short paths settle all but about 3 of 200 checks
+with no flow and no search; on a random graph with one giant class a check
+reads a few dozen adjacency rows, where a search from u alone reads over a
+third of C.
 
 Flows and solves read the adjacency itself, restricted to the class or the
 component (`solver.kec_classes`), so no update builds a graph. Only the build
@@ -111,58 +113,80 @@ def _has_k_paths(
     """Whether the multigraph `adj` (vertex -> {neighbour: multiplicity}),
     restricted to the vertices of class c, holds k edge-disjoint s-t paths.
 
-    A unit-capacity flow that stays near s and t. It starts from the short
-    paths, scanned from whichever of s and t has the smaller row: the
-    parallel s-t copies, then one s-w-t path through each common neighbour w
-    in the class, then greedy s-a-b-t paths with a and b in the class, each
-    taking only arcs with spare capacity (multiplicity less the net flow
-    already sent). These are edge-disjoint, so they form a feasible flow, and
-    augmenting paths take any feasible flow to a maximum one. Each missing
-    path is then one two-ended search (`_augment`). It returns as soon as it
-    holds k paths."""
+    A unit-capacity flow that stays near s and t. It first counts the short
+    paths, read from whichever of s and t has the smaller row: the parallel
+    s-t copies, then one s-w-t path through each common neighbour w in the
+    class, then greedy s-a-b-t paths with a and b in the class, each taking
+    only copies that no earlier path took. It returns True as soon as it
+    holds k, having built no flow. Otherwise the short paths, which are
+    edge-disjoint, become a feasible flow, and each missing path is one
+    two-ended search (`_augment`); augmenting paths take any feasible flow to
+    a maximum one."""
     row_s, row_t = adj[s], adj[t]
-    paths = row_s.get(t, 0)
-    if paths >= k:
+    parallel = row_s.get(t, 0)
+    if parallel >= k:
         return True
-    # x -> {y: net flow x to y}; s and t get a row up front, others when used
-    flow: dict[int, dict[int, int]] = {s: {t: paths}, t: {s: -paths}}
-    # near is the end with the smaller row and far the other; sign is +1 when
-    # near is s, so an arc near -> x, read in scan order, has spare capacity
-    # mult - sign * net(near, x), as in `_augment`
     if len(row_s) <= len(row_t):
         near, far, sign, row_near, row_far = s, t, 1, row_s, row_t
     else:
         near, far, sign, row_near, row_far = t, s, -1, row_t, row_s
-    for w in row_near:
-        if w in row_far and class_of[w] == c:
-            _push(flow, s, w, 1)
-            _push(flow, w, t, 1)
+    far_keys = row_far.keys()
+    # common neighbours, also those outside the class: the greedy paths below
+    # skip every vertex outside it, so they read `common` unfiltered
+    common = row_near.keys() & far_keys
+    paths = parallel
+    for w in common:
+        if class_of[w] == c:
             paths += 1
-            if paths >= k:
-                return True
-    # near-a-b-far. near -> far has no spare copy left. a -> b has all its
-    # mult(a, b) copies spare: each pair (a, b) is tried once, so an earlier
-    # path can only have crossed it from b to a
-    used_near, used_far = flow[near], flow[far]
+    if paths >= k:
+        return True
+    # near-a-b-far paths, over copies no earlier path took. The near-far
+    # copies are all taken, and near-a has one taken exactly when a is a
+    # common neighbour, as each a is tried once. a-b has all its mult(a, b)
+    # copies spare: each pair (a, b) is tried once, so an earlier path can
+    # only have crossed it from b to a. taken_far[b] counts the b-far copies
+    # taken.
+    taken_far = dict.fromkeys(common, 1)
+    greedy = []  # (a, b, units) of each near-a-b-far path
     for a, mult in row_near.items():
-        spare_a = mult - sign * used_near.get(a, 0)
-        if spare_a <= 0 or class_of[a] != c:
+        if a == far or class_of[a] != c:
             continue
-        for b, mult_ab in adj[a].items():
-            if b == near or b not in row_far or class_of[b] != c:
+        spare_a = mult - (a in common)
+        if not spare_a:
+            continue
+        row_a = adj[a]
+        for b in row_a.keys() & far_keys:
+            if b == near or class_of[b] != c:
                 continue
-            units = min(spare_a, mult_ab, row_far[b] + sign * used_far.get(b, 0))
+            # min(spare_a, mult(a, b), spare b-far copies), without a call
+            units = row_far[b] - taken_far.get(b, 0)
             if units <= 0:
                 continue
-            _push(flow, near, a, sign * units)
-            _push(flow, a, b, sign * units)
-            _push(flow, b, far, sign * units)
+            if units > spare_a:
+                units = spare_a
+            if units > row_a[b]:
+                units = row_a[b]
             paths += units
             if paths >= k:
                 return True
+            taken_far[b] = taken_far.get(b, 0) + units
+            greedy.append((a, b, units))
             spare_a -= units
             if not spare_a:
                 break
+    # short of k: the paths become a flow for the searches.
+    # x -> {y: net flow x to y}; s and t get a row up front, others when used
+    flow: dict[int, dict[int, int]] = {s: {t: parallel}, t: {s: -parallel}}
+    for w in common:
+        if class_of[w] != c:
+            continue
+        _push(flow, s, w, 1)
+        _push(flow, w, t, 1)
+    for a, b, units in greedy:
+        units *= sign
+        _push(flow, near, a, units)
+        _push(flow, a, b, units)
+        _push(flow, b, far, units)
     return all(_augment(adj, class_of, c, s, t, flow) for _ in range(paths, k))
 
 
@@ -170,15 +194,15 @@ class SparsTree:
     """The maximal k-edge-connected subgraphs of a graph under edge inserts
     and deletes, on the vertices of `g`.
 
-    An update changes the adjacency by one edge and, for a delete inside a
-    class, checks for k edge-disjoint paths between the edge's ends: the
-    short ones (parallel copies, paths through one common neighbour, then
-    paths through two class vertices) first, then one two-ended augmenting
-    search per path still missing.
-    Solves are left to rarer events: a delete whose check falls short solves
-    its class, and an insert between classes solves its component's
-    quotient. The name is kept for its callers; the engine holds no
-    sparsification tree (see the module docstring).
+    An update checks its two vertices and edits their two adjacency rows in
+    place. Only a delete inside a class goes further: it counts the short
+    paths between the edge's ends (parallel copies, paths through one common
+    neighbour, then paths through two class vertices), and builds a flow for
+    augmenting searches only when they fall short of k. Solves are left to
+    rarer events: a delete whose check fails solves its class, and an insert
+    between classes solves its component's quotient. The name is kept for
+    its callers; the engine holds no sparsification tree (see the module
+    docstring).
 
     Counters: `full_solves` (solves of the whole graph) and `flow_checks`
     (deletes inside a class). `rebuilds` is always 1, the build, and
@@ -200,44 +224,20 @@ class SparsTree:
             kec_classes(self._adj, self._adj.keys(), k)
         )
 
-    def _check_pair(self, u: int, v: int) -> None:
-        # the type tests first: 2.0 and True compare and hash equal to vertex
-        # ids, so the membership tests alone would let them in; one call for
-        # both ends keeps a query as cheap as two membership tests
-        adj = self._adj
-        if type(u) is not int or type(v) is not int or u not in adj or v not in adj:
-            raise UnknownVertexError(f"unknown vertex in ({u}, {v})")
-
-    def _link(self, a: int, b: int, step: int) -> None:
-        """Add `step` copies of edge (a, b) to the adjacency."""
-        self._m += step
-        for x, y in ((a, b), (b, a)):
-            row = self._adj[x]
-            row[y] = row.get(y, 0) + step
-            if not row[y]:
-                del row[y]
-
     # -- partition maintenance -------------------------------------------
 
-    def _split_class(self, u: int, v: int) -> None:
-        """Refine the partition after edge (u, v) left the live graph."""
+    def _split_class(self, c: int) -> None:
+        """Replace class c, which a delete left short of k paths, by its
+        own classes."""
         part = self._partition
-        c = part.class_of[u]
-        if part.class_of[v] != c:
-            return
-        self.flow_checks += 1
-        if _has_k_paths(self._adj, part.class_of, c, u, v, self.k):
-            return
         pieces = kec_classes(self._adj, part.classes[c], self.k)
         self._partition = Partition.from_classes(
             part.classes[:c] + pieces + part.classes[c + 1 :]
         )
 
     def _merge_classes(self, u: int, v: int) -> None:
-        """Coarsen the partition after edge (u, v) joined the live graph."""
+        """Coarsen the partition after edge (u, v) joined two classes."""
         class_of = self._partition.class_of
-        if class_of[u] == class_of[v]:
-            return
         comp = {u}  # the component of the new edge: a union of classes
         stack = [u]
         while stack:
@@ -265,26 +265,57 @@ class SparsTree:
         )
 
     # -- updates ------------------------------------------------------------
+    # Each method tests both vertices before it changes anything. The type
+    # tests come first: 2.0 and True compare and hash equal to vertex ids, so
+    # the membership tests alone would let them in.
 
     def insert(self, u: int, v: int) -> None:
-        self._check_pair(u, v)
+        adj = self._adj
+        if type(u) is not int or type(v) is not int or u not in adj or v not in adj:
+            raise UnknownVertexError(f"unknown vertex in ({u}, {v})")
         if u == v:
             raise SelfLoopError(f"self-loop at vertex {u}")
-        self._link(u, v, 1)
-        self._merge_classes(u, v)
+        row_u, row_v = adj[u], adj[v]
+        row_u[v] = row_u.get(v, 0) + 1
+        row_v[u] = row_v.get(u, 0) + 1
+        self._m += 1
+        class_of = self._partition.class_of
+        if class_of[u] != class_of[v]:
+            self._merge_classes(u, v)
 
     def delete(self, u: int, v: int) -> None:
-        self._check_pair(u, v)
-        if not self._adj[u].get(v):
+        adj = self._adj
+        if type(u) is not int or type(v) is not int or u not in adj or v not in adj:
+            raise UnknownVertexError(f"unknown vertex in ({u}, {v})")
+        row_u, row_v = adj[u], adj[v]
+        mult = row_u.get(v)
+        if not mult:
             raise UnknownEdgeError(f"no edge between {u} and {v}")
-        self._link(u, v, -1)
-        self._split_class(u, v)
+        if mult == 1:  # rows hold no zero multiplicities
+            del row_u[v], row_v[u]
+        else:
+            row_u[v] = row_v[u] = mult - 1
+        self._m -= 1
+        class_of = self._partition.class_of
+        c = class_of[u]
+        if class_of[v] == c:
+            self.flow_checks += 1
+            if not _has_k_paths(adj, class_of, c, u, v, self.k):
+                self._split_class(c)
 
     # -- queries -------------------------------------------------------------
 
     def max_k_edge(self, u: int, v: int) -> bool:
-        self._check_pair(u, v)
-        return self._partition.same(u, v)
+        # the partition's class_of has a key for every vertex, as adj does
+        class_of = self._partition.class_of
+        if (
+            type(u) is not int
+            or type(v) is not int
+            or u not in class_of
+            or v not in class_of
+        ):
+            raise UnknownVertexError(f"unknown vertex in ({u}, {v})")
+        return class_of[u] == class_of[v]
 
     def partition(self) -> Partition:
         return self._partition

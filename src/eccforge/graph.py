@@ -98,12 +98,6 @@ class Multigraph:
         except KeyError:
             raise UnknownVertexError(f"unknown vertex {v}") from None
 
-    def degree(self, v: int) -> int:
-        return len(self.incident(v))
-
-    def multiplicity(self, u: int, v: int) -> int:
-        return sum(1 for eid in self.incident(u) if self._other(eid, u) == v)
-
     def _other(self, eid: int, v: int) -> int:
         a, b = self._edges[eid]
         return b if v == a else a
@@ -133,6 +127,8 @@ class Multigraph:
         return comps
 
     def copy(self) -> "Multigraph":
+        """An independent copy with the same vertex and edge ids. Public API:
+        callers build an engine from a copy and keep changing the original."""
         g = Multigraph()
         g._n = self._n
         g._next_edge = self._next_edge

@@ -291,6 +291,59 @@ def augments(monkeypatch):
     return _count_results(monkeypatch, "_augment")
 
 
+class _FlowSpy:
+    """Counts the `_push` calls a check makes and keeps a copy of the flow
+    handed to each `_augment`, with the search's result."""
+
+    def __init__(self, monkeypatch):
+        import eccforge.dynamic
+
+        self.pushes, self.flows, self.found = 0, [], []
+        real_push, real_augment = eccforge.dynamic._push, eccforge.dynamic._augment
+
+        def push(*args):
+            self.pushes += 1
+            real_push(*args)
+
+        def augment(adj, class_of, c, s, t, flow):
+            self.flows.append({x: dict(row) for x, row in flow.items()})
+            found = real_augment(adj, class_of, c, s, t, flow)
+            self.found.append(found)
+            return found
+
+        monkeypatch.setattr(eccforge.dynamic, "_push", push)
+        monkeypatch.setattr(eccforge.dynamic, "_augment", augment)
+
+    def clear(self):
+        self.pushes, self.flows, self.found = 0, [], []
+
+    def check(self, adj, class_of, c, s, t, k, held, paths):
+        """Assert what one `_has_k_paths` call did, given its answer and the
+        flow oracle's count of edge-disjoint s-t paths in class c."""
+        if not self.flows:  # settled by the short paths: no flow at all
+            assert held and self.pushes == 0
+            return
+        flow = self.flows[0]
+        for x, row in flow.items():
+            out = 0
+            for y, net in row.items():
+                assert flow.get(y, {}).get(x, 0) == -net  # antisymmetric
+                assert abs(net) <= adj[x].get(y, 0)  # within capacity
+                assert not net or class_of[x] == class_of[y] == c
+                out += net
+            assert out == 0 or x in (s, t)  # conserved off s and t
+        value = sum(flow[s].values())
+        # the searches add one path each: k - value calls when the check
+        # holds; otherwise the last one finds the cut at the oracle's count
+        assert value + sum(self.found) == min(k, paths)
+        assert len(self.found) == (k - value if held else sum(self.found) + 1)
+
+
+@pytest.fixture
+def flow_spy(monkeypatch):
+    return _FlowSpy(monkeypatch)
+
+
 def test_has_k_paths_matches_flow_oracle_on_the_class():
     rng = random.Random(0xF1)
     answers = Counter()
@@ -343,16 +396,57 @@ def test_has_k_paths_ignores_a_path_that_leaves_the_class():
         "b-arc-to-t-used",
     ],
 )
-def test_has_k_paths_takes_length_three_paths(augments, edges, outside, k, held):
+def test_has_k_paths_takes_length_three_paths(
+    augments, flow_spy, edges, outside, k, held
+):
     """s-a-b-t paths on small multigraphs, against the flow oracle, scanned
-    from either end: a check they settle makes no augmenting search."""
+    from either end: a check they settle builds no flow and makes no
+    augmenting search; one they leave short hands the search a valid flow."""
     class_of = {x: int(x in outside) for x in range(1, 6)}
     for s, t in ((1, 5), (5, 1)):
         augments.clear()
-        assert (_class_lambda(5, edges, class_of, 0, s, t) >= k) == held
-        assert _has_k_paths(_adjacency(5, edges), class_of, 0, s, t, k) == held
+        flow_spy.clear()
+        paths = _class_lambda(5, edges, class_of, 0, s, t)
+        assert (paths >= k) == held
+        adj = _adjacency(5, edges)
+        assert _has_k_paths(adj, class_of, 0, s, t, k) == held
         assert augments[True] == 0
         assert augments[False] == (not held)
+        flow_spy.check(adj, class_of, 0, s, t, k, held, paths)
+
+
+def test_checks_on_a_dense_stream_build_a_flow_only_to_search(
+    monkeypatch, flow_spy
+):
+    """Every delete check of a seeded dense stream (n = 24, 6n seed edges,
+    k = 3..5) against the flow oracle: a check the short paths settle makes
+    no `_push` and no `_augment` call. They settle all 166 checks here; the
+    dense multigraphs above check the flow that a search starts from."""
+    import eccforge.dynamic
+
+    real = eccforge.dynamic._has_k_paths
+    checks = Counter()
+
+    def check(adj, class_of, c, s, t, k):
+        flow_spy.clear()
+        held = real(adj, class_of, c, s, t, k)
+        edges = [(x, y) for x in adj for y, m in adj[x].items() if x < y]
+        edges = [(x, y) for x, y in edges for _ in range(adj[x][y])]
+        paths = _class_lambda(n, edges, class_of, c, s, t)
+        assert held == (paths >= k)
+        flow_spy.check(adj, class_of, c, s, t, k, held, paths)
+        checks[bool(flow_spy.flows)] += 1
+        return held
+
+    monkeypatch.setattr(eccforge.dynamic, "_has_k_paths", check)
+    n = 24
+    for k in (3, 4, 5):
+        stream = random_dynamic_stream(random.Random(k), n, 300, seed_edges=6 * n)
+        st = SparsTree(_graph_of(n, []), k)
+        for op in stream:
+            if op[0] in ("ae", "de"):
+                (st.insert if op[0] == "ae" else st.delete)(op[1], op[2])
+    assert checks[False] > 150
 
 
 def _ring(rng, n):
@@ -398,10 +492,11 @@ def test_has_k_paths_searches_between_far_ends(augments):
     assert augments[True] > 100 and augments[False] > 20
 
 
-def test_has_k_paths_matches_flow_oracle_past_the_short_paths(augments):
+def test_has_k_paths_matches_flow_oracle_past_the_short_paths(augments, flow_spy):
     """Dense multigraphs of 10-40 vertices, where the short paths (parallel
     s-t copies, s-w-t and s-a-b-t) often fall short of k, so the two-ended
-    augmenting search has to find the rest or the cut."""
+    augmenting search has to find the rest or the cut, starting from a
+    feasible flow worth the short paths counted."""
     rng = random.Random(0xB1D)
     answers = Counter()
     for _ in range(300):
@@ -415,9 +510,12 @@ def test_has_k_paths_matches_flow_oracle_past_the_short_paths(augments):
         if len(members) < 2:
             continue
         s, t = rng.sample(members, 2)
-        want = _class_lambda(n, edges, class_of, c, s, t) >= k
-        got = _has_k_paths(_adjacency(n, edges), class_of, c, s, t, k)
-        assert got == want, (n, k, edges, class_of, s, t)
+        paths = _class_lambda(n, edges, class_of, c, s, t)
+        adj = _adjacency(n, edges)
+        flow_spy.clear()
+        got = _has_k_paths(adj, class_of, c, s, t, k)
+        assert got == (paths >= k), (n, k, edges, class_of, s, t)
+        flow_spy.check(adj, class_of, c, s, t, k, got, paths)
         answers[got] += 1
     # 79 searches find a path and 140 a cut
     assert augments[True] >= 50 and augments[False] >= 100
@@ -512,6 +610,25 @@ def test_rejected_vertex_equal_to_an_id_changes_nothing(v):
     with pytest.raises(UnknownVertexError):
         st.max_k_edge(v, 3)
     assert _snapshot(st) == before
+    assert all(type(y) is int for row in st._adj.values() for y in row)
+
+
+@pytest.mark.parametrize("method", ["insert", "delete", "max_k_edge"])
+@pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
+@pytest.mark.parametrize(
+    "bad",
+    [0, 4, 1.5, 2.0, True, "1", None],
+    ids=["zero", "n+1", "1.5", "2.0", "True", "str", "None"],
+)
+def test_each_update_and_query_rejects_a_bad_vertex(method, first, bad):
+    # vertex 3 has an edge to 1 and to 2, so a delete that took True or 2.0
+    # for a vertex id would find an edge to remove
+    st = SparsTree(_graph_of(3, [(1, 2), (1, 2), (2, 3), (3, 1)]), 1)
+    before = _snapshot(st)
+    with pytest.raises(UnknownVertexError):
+        getattr(st, method)(*((bad, 3) if first else (3, bad)))
+    assert _snapshot(st) == before
+    assert all(type(x) is int for x in st._adj)
     assert all(type(y) is int for row in st._adj.values() for y in row)
 
 
