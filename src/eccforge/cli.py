@@ -34,24 +34,15 @@ def _print_partition(partition) -> None:
 
 def cmd_solve(args) -> int:
     g = parse_graph(_load(args.graph))
-    part = max_kec_subgraphs(g, args.k, use_certificate=args.certificate)
-    _print_partition(part.classes)
+    _print_partition(max_kec_subgraphs(g, args.k).classes)
     return 0
 
 
 def cmd_incr(args) -> int:
-    ops = parse_stream(_load(args.stream))
     tree = DecompTree()
-    for op in ops:
-        if op[0] == "av":
-            tree.insert_vertex()
-        elif op[0] == "ae":
-            tree.insert_edge(op[1], op[2])
-        elif op[0] == "q":
-            print("true" if tree.same_max_3ec(op[1], op[2]) else "false")
-        else:
-            print("error: `de` is not supported by incr", file=sys.stderr)
-            return 2
+    for _, answer in gen.replay(tree, parse_stream(_load(args.stream))):
+        if answer is not None:
+            print("true" if answer else "false")
         if args.debug_validate:
             tree.validate()
     if args.counters:
@@ -76,20 +67,12 @@ def cmd_certify(args) -> int:
 
 def cmd_dynamic(args) -> int:
     ops = parse_stream(_load(args.stream))
-    n_vertices = sum(1 for op in ops if op[0] == "av")
     base = Multigraph()
-    for _ in range(n_vertices):
+    for _ in range(ops.count(("av",))):  # a SparsTree takes them up front
         base.add_vertex()
-    tree = SparsTree(base, args.k)
-    for op in ops:
-        if op[0] == "av":
-            continue  # vertices were preloaded; streams declare them up front
-        if op[0] == "ae":
-            tree.insert(op[1], op[2])
-        elif op[0] == "de":
-            tree.delete(op[1], op[2])
-        else:
-            print("true" if tree.max_k_edge(op[1], op[2]) else "false")
+    for _, answer in gen.replay(SparsTree(base, args.k), ops):
+        if answer is not None:
+            print("true" if answer else "false")
     return 0
 
 
@@ -101,19 +84,11 @@ def _dynamic_agrees(stream: list[tuple], n: int, k: int) -> bool:
         cur.add_vertex()
     spars = SparsTree(cur, k)
     want = oracle.maximal_kec_bruteforce(cur, k)
-    for op in stream:
-        if op[0] == "av":
-            continue
+    for op, answer in gen.replay(spars, stream, cur):
         if op[0] == "q":
-            if spars.max_k_edge(op[1], op[2]) != want.same(op[1], op[2]):
+            if answer != want.same(op[1], op[2]):
                 return False
             continue
-        if op[0] == "ae":
-            cur.add_edge(op[1], op[2])
-            spars.insert(op[1], op[2])
-        else:
-            cur.remove_edge(cur.edges_between(op[1], op[2])[0])
-            spars.delete(op[1], op[2])
         want = oracle.maximal_kec_bruteforce(cur, k)
         if spars.partition() != want:
             return False
@@ -131,24 +106,13 @@ def cmd_verify(args) -> int:
             blocks = rng.randint(2, 3)
             size = max(2, n // blocks)
             g = gen.planted_clusters(rng, blocks, size, 4 * size, rng.randint(1, 3))
-            ops = [("av",)] * g.n + [
-                ("ae", *g.endpoints(eid)) for eid in sorted(g.edge_ids())
-            ]
+            ops = [("av",)] * g.n + [("ae", *g.endpoints(e)) for e in g.edge_ids()]
             n = g.n
         else:
             ops = gen.random_insertion_sequence(rng, n, edges)
-            g = Multigraph()
-            for op in ops:
-                if op[0] == "av":
-                    g.add_vertex()
-                else:
-                    g.add_edge(op[1], op[2])
-        tree = DecompTree()
-        for op in ops:
-            if op[0] == "av":
-                tree.insert_vertex()
-            else:
-                tree.insert_edge(op[1], op[2])
+        tree, g = DecompTree(), Multigraph()
+        for _ in gen.replay(tree, ops, g):
+            pass
         try:
             tree.validate()
         except DecompError as exc:
@@ -166,7 +130,7 @@ def cmd_verify(args) -> int:
             if max_kec_subgraphs(g, k) != want_k:
                 failed.add(trial)
                 print(f"trial {trial}: static solver disagrees at k={k}")
-            elif k >= 3 and max_kec_subgraphs(g, k, use_certificate=True) != want_k:
+            elif k >= 3 and max_kec_subgraphs(k_certificate(g, k).certificate, k) != want_k:
                 failed.add(trial)
                 print(f"trial {trial}: certified solve disagrees at k={k}")
         # every third stream starts dense, so that classes form up to k = 6
@@ -224,7 +188,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="maximal k-edge-connected subgraphs of a graph file")
     p.add_argument("graph")
     p.add_argument("-k", type=int, default=3)
-    p.add_argument("--certificate", action="store_true", help="sparsify first")
     p.set_defaults(fn=cmd_solve, k_min=1)
 
     p = sub.add_parser("incr", help="replay an insertion stream (k = 3)")

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable, Iterator
 
+from .decomp import DecompTree
+from .dynamic import SparsTree
 from .graph import Multigraph
 
 
@@ -86,8 +89,11 @@ def random_insertion_sequence(rng: random.Random, n: int, edges: int) -> list[tu
 def random_dynamic_stream(
     rng: random.Random, n: int, ops: int, seed_edges: int = 0
 ) -> list[tuple]:
-    """av-prefixed stream of ae/de/q ops; de only targets live edges."""
+    """av-prefixed stream of ae/de/q ops; de only targets live edges. Below
+    two vertices there is no edge to draw: n = 1 gives only `q 1 1` ops."""
     stream: list[tuple] = [("av",)] * n
+    if n < 2:
+        return stream + [("q", 1, 1)] * (ops if n else 0)
     live: list[tuple[int, int]] = []
 
     def add_edge():
@@ -112,3 +118,39 @@ def random_dynamic_stream(
             v = rng.randint(1, n)
             stream.append(("q", u, v))
     return stream
+
+
+def replay(
+    engine: DecompTree | SparsTree, ops: Iterable[tuple], g: Multigraph | None = None
+) -> Iterator[tuple[tuple, bool | None]]:
+    """Apply `parse_stream` ops to `engine` and yield (op, answer) for each:
+    the bool of a `q`, None for an update. With `g`, every update the engine
+    takes is applied to that Multigraph too, after the engine, so an op the
+    engine rejects changes neither. A SparsTree gets its vertices when it is
+    built, so it and `g` skip `av` (nothing is yielded); a DecompTree rejects
+    `de` with ValueError."""
+    incremental = isinstance(engine, DecompTree)
+    for op in ops:
+        kind = op[0]
+        if kind == "q":
+            query = engine.same_max_3ec if incremental else engine.max_k_edge
+            yield op, query(op[1], op[2])
+            continue
+        if kind == "av":
+            if not incremental:
+                continue
+            engine.insert_vertex()
+        elif kind == "ae":
+            (engine.insert_edge if incremental else engine.insert)(op[1], op[2])
+        elif kind == "de" and not incremental:
+            engine.delete(op[1], op[2])
+        else:
+            raise ValueError(f"`{kind}` is not supported by {type(engine).__name__}")
+        if g is not None:
+            if kind == "av":
+                g.add_vertex()
+            elif kind == "ae":
+                g.add_edge(op[1], op[2])
+            else:
+                g.remove_edge(g.edges_between(op[1], op[2])[0])
+        yield op, None

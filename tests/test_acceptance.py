@@ -30,6 +30,7 @@ from eccforge.gen import (
     random_dynamic_stream,
     random_insertion_sequence,
     random_multigraph,
+    replay,
 )
 from eccforge.oracle import kecc_partition
 from shadows import (
@@ -63,13 +64,7 @@ def incremental_runs():
         ops = random_insertion_sequence(rng, n, edges)
         tree = DecompTree()
         g = Multigraph()
-        for op in ops:
-            if op[0] == "av":
-                tree.insert_vertex()
-                g.add_vertex()
-            else:
-                tree.insert_edge(op[1], op[2])
-                g.add_edge(op[1], op[2])
+        for _ in replay(tree, ops, g):
             got = set(map(frozenset, tree.partition()))
             want = maximal_kec_bruteforce(g, 3).as_sets()
             assert got == want, f"partition mismatch at n={n}"
@@ -228,18 +223,9 @@ def test_criterion_6_fully_dynamic():
         for _ in range(n):
             cur.add_vertex()
         st = SparsTree(cur.copy(), 3)
-        for op in stream:
-            if op[0] == "av":
-                continue
-            if op[0] == "ae":
-                cur.add_edge(op[1], op[2])
-                st.insert(op[1], op[2])
-            elif op[0] == "de":
-                cur.remove_edge(cur.edges_between(op[1], op[2])[0])
-                st.delete(op[1], op[2])
-            else:
-                want = max_kec_subgraphs(cur, 3).same(op[1], op[2])
-                assert st.max_k_edge(op[1], op[2]) == want
+        for op, answer in replay(st, stream, cur):
+            if op[0] == "q":
+                assert answer == max_kec_subgraphs(cur, 3).same(op[1], op[2])
                 queries += 1
         # insert-then-delete restores every answer
         pairs = [(u, v) for u in range(1, n + 1) for v in range(u, n + 1)]

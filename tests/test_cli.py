@@ -34,11 +34,6 @@ def test_solve_two_k4_bridge(graph_file):
     assert code == 0
     assert out == "1 2 3 4\n5 6 7 8\n"
 
-def test_solve_with_certificate(graph_file):
-    code, out = run_cli(["solve", graph_file, "-k", "3", "--certificate"])
-    assert code == 0
-    assert out == "1 2 3 4\n5 6 7 8\n"
-
 def test_solve_k1(graph_file):
     code, out = run_cli(["solve", graph_file, "-k", "1"])
     assert code == 0
@@ -118,8 +113,8 @@ def test_missing_file_exit_code():
     assert code == 2
 
 def test_deterministic_output(graph_file):
-    _, out1 = run_cli(["solve", graph_file, "-k", "3", "--certificate"])
-    _, out2 = run_cli(["solve", graph_file, "-k", "3", "--certificate"])
+    _, out1 = run_cli(["solve", graph_file, "-k", "3"])
+    _, out2 = run_cli(["solve", graph_file, "-k", "3"])
     assert out1 == out2
 
 

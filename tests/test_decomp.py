@@ -9,19 +9,19 @@ from eccforge import DecompTree, Multigraph, maximal_kec_bruteforce
 from eccforge.blockforest import BlockTreeNode
 from eccforge.cactusforest import CycleNode, ListEntry, RealNode
 from eccforge.decomp import DecompError, DecompNode
-from eccforge.gen import planted_clusters, staircase_sequence, random_insertion_sequence
+from eccforge.gen import (
+    planted_clusters,
+    random_insertion_sequence,
+    replay,
+    staircase_sequence,
+)
 from eccforge.graph import SelfLoopError, UnknownVertexError
 
 
-def replay(edges, n):
-    tree = DecompTree()
-    g = Multigraph()
-    for _ in range(n):
-        tree.insert_vertex()
-        g.add_vertex()
-    for u, v in edges:
-        tree.insert_edge(u, v)
-        g.add_edge(u, v)
+def build(edges, n):
+    tree, g = DecompTree(), Multigraph()
+    for _ in replay(tree, [("av",)] * n + [("ae", u, v) for u, v in edges], g):
+        pass
     return tree, g
 
 
@@ -184,7 +184,7 @@ def test_inlined_find_agrees_with_checked_find():
 
 
 def test_triangle_stays_trivial():
-    tree, _ = replay([(1, 2), (2, 3), (3, 1)], 3)
+    tree, _ = build([(1, 2), (2, 3), (3, 1)], 3)
     for u, v in itertools.combinations(range(1, 4), 2):
         assert not tree.same_max_3ec(u, v)
     assert tree.count() == 3
@@ -196,7 +196,7 @@ K4_EDGES = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
 @pytest.mark.parametrize("perm", list(itertools.permutations(range(6)))[::40])
 def test_k4_any_insertion_order(perm):
     edges = [K4_EDGES[i] for i in perm]
-    tree, g = replay(edges, 4)
+    tree, g = build(edges, 4)
     assert tree.partition() == [{1, 2, 3, 4}]
     assert tree.same_max_3ec(1, 3)
     assert as_sets(tree.partition()) == maximal_kec_bruteforce(g, 3).as_sets()
@@ -205,7 +205,7 @@ def test_k4_any_insertion_order(perm):
 
 def test_two_k4_bridge_partition():
     edges = list(K4_EDGES) + [(u + 4, v + 4) for u, v in K4_EDGES] + [(4, 5)]
-    tree, g = replay(edges, 8)
+    tree, g = build(edges, 8)
     assert tree.partition() == [{1, 2, 3, 4}, {5, 6, 7, 8}]
     assert not tree.same_max_3ec(4, 5)
     tree.insert_edge(1, 8)  # a second interconnection keeps the partition
@@ -222,7 +222,7 @@ def test_staircase_sequence_all_trivial_with_growing_3ecc():
     from eccforge.oracle import kecc_partition
 
     n = 10
-    tree, g = replay([], n)
+    tree, g = build([], n)
     seq = staircase_sequence(n)
     for i, (u, v) in enumerate(seq):
         tree.insert_edge(u, v)
@@ -254,7 +254,7 @@ def test_staircase_stack_does_not_grow_with_tree_depth():
     # the staircase drives the tree to depth 3(n-1); re-insertions must not
     # recurse per level, so a few dozen frames of headroom suffice
     n = 64
-    tree, _ = replay([], n)
+    tree, _ = build([], n)
 
     def insert_all():
         for u, v in staircase_sequence(n):
@@ -272,11 +272,8 @@ def test_affecting_bound_random_sequences():
         n = rng.randint(2, 20)
         ops = random_insertion_sequence(rng, n, rng.randint(5, 60))
         tree = DecompTree()
-        for op in ops:
-            if op[0] == "av":
-                tree.insert_vertex()
-            else:
-                tree.insert_edge(op[1], op[2])
+        for _ in replay(tree, ops):
+            pass
         assert tree.affecting_insertions <= 3 * (tree.n_vertices - 1)
 
 
@@ -288,13 +285,7 @@ def test_monotone_merging_and_oracle_equivalence():
         tree = DecompTree()
         g = Multigraph()
         prev = None
-        for op in ops:
-            if op[0] == "av":
-                tree.insert_vertex()
-                g.add_vertex()
-            else:
-                tree.insert_edge(op[1], op[2])
-                g.add_edge(op[1], op[2])
+        for _ in replay(tree, ops, g):
             part = as_sets(tree.partition())
             assert part == maximal_kec_bruteforce(g, 3).as_sets()
             if prev is not None and len(prev) >= len(part):
@@ -307,7 +298,7 @@ def test_monotone_merging_and_oracle_equivalence():
 
 
 def test_same_leaf_insert_is_structural_noop():
-    tree, _ = replay(K4_EDGES, 4)
+    tree, _ = build(K4_EDGES, 4)
     calls_before = tree.total_insert_calls
     affecting_before = tree.affecting_insertions
     tree.insert_edge(1, 4)
@@ -317,7 +308,7 @@ def test_same_leaf_insert_is_structural_noop():
 
 
 def test_whole_graph_condenses_to_root_then_grows():
-    tree, _ = replay(K4_EDGES, 4)
+    tree, _ = build(K4_EDGES, 4)
     assert tree.root.dsu_item is not None or tree.count() == 1
     v = tree.insert_vertex()  # the root stays condensed until 5 gets an edge
     assert v == 5
@@ -336,7 +327,7 @@ def test_partition_and_count_empty():
 
 
 def cycle4():
-    return replay([(1, 2), (2, 3), (3, 4), (4, 1)], 4)
+    return build([(1, 2), (2, 3), (3, 4), (4, 1)], 4)
 
 
 def test_merge_opposite_cycle_members_no_reinsertion():
@@ -397,11 +388,8 @@ def test_tree_size_stays_linear():
         n = rng.randint(2, 30)
         ops = random_insertion_sequence(rng, n, rng.randint(5, 150))
         tree = DecompTree()
-        for op in ops:
-            if op[0] == "av":
-                tree.insert_vertex()
-            else:
-                tree.insert_edge(op[1], op[2])
+        for _ in replay(tree, ops):
+            pass
         assert count_nodes(tree) <= 6 * tree.n_vertices + 1
 
 
@@ -458,7 +446,7 @@ def test_engine_holds_only_live_structure(n, edges):
     # constant factor of the live tree, however many nodes it made and
     # discarded on the way (the staircase makes Theta(n^2) of them)
     before = _engine_objects()
-    tree, _ = replay(edges, n)
+    tree, _ = build(edges, n)
     added = _engine_objects()
     live = 0
     stack = [tree.root]
@@ -478,7 +466,7 @@ def test_engine_holds_only_live_structure(n, edges):
         assert all(tree._leaf_of(v) is None for v in range(1, n + 1) if v not in edged)
         del tree
         base = _engine_objects()
-        without, _ = replay(edges, max(edged))
+        without, _ = build(edges, max(edged))
         assert {k: c - base[k] for k, c in _engine_objects().items()} == {
             k: added[k] - before[k] for k in ENGINE_TYPES
         }
@@ -570,7 +558,7 @@ def _forget_live_cycles(tree, by_level):
 def test_validate_catches_corruption(corrupt):
     # a 4-cycle with a pendant vertex: one component whose block tree holds
     # two 2-eccs, one of them with a four-node cactus
-    tree, _ = replay([(1, 2), (2, 3), (3, 4), (4, 1), (4, 5)], 5)
+    tree, _ = build([(1, 2), (2, 3), (3, 4), (4, 1), (4, 5)], 5)
     tree.validate()
     by_level = {}
     stack = [tree.root]

@@ -7,7 +7,7 @@ import pytest
 
 from eccforge import Multigraph, SparsTree, max_kec_subgraphs, maximal_kec_bruteforce
 from eccforge.dynamic import _has_k_paths
-from eccforge.gen import random_dynamic_stream
+from eccforge.gen import random_dynamic_stream, replay
 from eccforge.graph import SelfLoopError, UnknownEdgeError, UnknownVertexError
 from eccforge.oracle import edge_connectivity
 from eccforge.solver import Partition, kec_classes
@@ -180,24 +180,23 @@ def test_random_stream_matches_static_solver():
         for _ in range(n):
             cur.add_vertex()
         st = SparsTree(cur.copy(), 3)
-        for op in stream:
-            if op[0] == "av":
-                continue
-            if op[0] == "ae":
-                cur.add_edge(op[1], op[2])
-                st.insert(op[1], op[2])
-            elif op[0] == "de":
-                cur.remove_edge(cur.edges_between(op[1], op[2])[0])
-                st.delete(op[1], op[2])
+        for op, answer in replay(st, stream, cur):
+            if op[0] == "q":
+                assert answer == max_kec_subgraphs(cur, 3).same(op[1], op[2])
             else:
-                assert st.max_k_edge(op[1], op[2]) == max_kec_subgraphs(
-                    cur, 3
-                ).same(op[1], op[2])
-                continue
-            # after every update the cached partition equals the full
-            # graph's partition
-            assert st.partition() == max_kec_subgraphs(cur, 3)
+                # after every update the cached partition equals the full
+                # graph's partition
+                assert st.partition() == max_kec_subgraphs(cur, 3)
         assert st.live_edge_count() == cur.m
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_random_stream_below_two_vertices(n):
+    # no edge to draw: one vertex gives only `q 1 1`, none an empty stream
+    stream = random_dynamic_stream(random.Random(5), n, 10, seed_edges=3)
+    assert stream == ([("av",)] + [("q", 1, 1)] * 10 if n else [])
+    st = SparsTree(_graph_of(n, []), 3)
+    assert [answer for _, answer in replay(st, stream)] == [True] * 10 * n
 
 
 def _pair(rng, n):
