@@ -9,7 +9,7 @@ import time
 
 from . import gen, oracle
 from .decomp import DecompError, DecompTree
-from .dynamic import SparsTree
+from .dynamic import DynamicError, SparsTree
 from .certificates import k_certificate
 from .graph import (
     GraphError,
@@ -67,21 +67,17 @@ def cmd_certify(args) -> int:
 
 def cmd_dynamic(args) -> int:
     ops = parse_stream(_load(args.stream))
-    base = Multigraph()
-    for _ in range(ops.count(("av",))):  # a SparsTree takes them up front
-        base.add_vertex()
-    for _, answer in gen.replay(SparsTree(base, args.k), ops):
+    for _, answer in gen.replay(SparsTree(Multigraph(), args.k), ops):
         if answer is not None:
             print("true" if answer else "false")
     return 0
 
 
-def _dynamic_agrees(stream: list[tuple], n: int, k: int) -> bool:
-    """Replay `stream` into a SparsTree on n vertices: after every update its
-    partition, and at every query its answer, must match the oracle's."""
+def _dynamic_agrees(stream: list[tuple], k: int) -> bool:
+    """Replay `stream` into a SparsTree built on an empty graph: after every
+    update its partition, and at every query its answer, must match the
+    oracle's. At the end the engine audits itself (DynamicError)."""
     cur = Multigraph()
-    for _ in range(n):
-        cur.add_vertex()
     spars = SparsTree(cur, k)
     want = oracle.maximal_kec_bruteforce(cur, k)
     for op, answer in gen.replay(spars, stream, cur):
@@ -92,6 +88,7 @@ def _dynamic_agrees(stream: list[tuple], n: int, k: int) -> bool:
         want = oracle.maximal_kec_bruteforce(cur, k)
         if spars.partition() != want:
             return False
+    spars.validate()
     return True
 
 
@@ -134,11 +131,17 @@ def cmd_verify(args) -> int:
                 failed.add(trial)
                 print(f"trial {trial}: certified solve disagrees at k={k}")
         # every third stream starts dense, so that classes form up to k = 6
-        # and deletes inside them reach the flow check and the class solve
+        # and deletes inside them reach the flow check and the split
         seed_edges = 6 * n if trial % 3 == 1 else n
         stream = gen.random_dynamic_stream(rng, n, edges, seed_edges=seed_edges)
         for k in args.k:
-            if not _dynamic_agrees(stream, n, k):
+            try:
+                agrees = _dynamic_agrees(stream, k)
+            except DynamicError as exc:
+                failed.add(trial)
+                print(f"trial {trial}: dynamic engine fails its audit at k={k}: {exc}")
+                continue
+            if not agrees:
                 failed.add(trial)
                 print(f"trial {trial}: dynamic engine disagrees with oracle at k={k}")
     total = args.trials

@@ -126,9 +126,8 @@ def replay(
     """Apply `parse_stream` ops to `engine` and yield (op, answer) for each:
     the bool of a `q`, None for an update. With `g`, every update the engine
     takes is applied to that Multigraph too, after the engine, so an op the
-    engine rejects changes neither. A SparsTree gets its vertices when it is
-    built, so it and `g` skip `av` (nothing is yielded); a DecompTree rejects
-    `de` with ValueError."""
+    engine rejects changes neither. Both engines take `av`; a DecompTree
+    rejects `de` with ValueError."""
     incremental = isinstance(engine, DecompTree)
     for op in ops:
         kind = op[0]
@@ -137,8 +136,6 @@ def replay(
             yield op, query(op[1], op[2])
             continue
         if kind == "av":
-            if not incremental:
-                continue
             engine.insert_vertex()
         elif kind == "ae":
             (engine.insert_edge if incremental else engine.insert)(op[1], op[2])

@@ -178,3 +178,25 @@ def test_verify_audits_the_tree(monkeypatch, capsys):
         f"trial {t}: incremental engine fails its audit: corrupt" for t in range(3)
     ]
     assert lines[-1] == "verify: 0/3 trials agreed (seed=1)"
+
+
+def test_verify_audits_the_dynamic_engine(monkeypatch, capsys):
+    import eccforge.cli
+    from eccforge import SparsTree
+    from eccforge.dynamic import DynamicError
+
+    class Corrupt(SparsTree):
+        def validate(self):
+            raise DynamicError("corrupt")
+
+    monkeypatch.setattr(eccforge.cli, "SparsTree", Corrupt)
+    args = ["verify", "--seed", "1", "--nmax", "8", "--trials", "3", "-k", "3", "-k", "4"]
+    code = main(args)
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert lines[:-1] == [
+        f"trial {t}: dynamic engine fails its audit at k={k}: corrupt"
+        for t in range(3)
+        for k in (3, 4)
+    ]
+    assert lines[-1] == "verify: 0/3 trials agreed (seed=1)"

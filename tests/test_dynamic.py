@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from eccforge import Multigraph, SparsTree, max_kec_subgraphs, maximal_kec_bruteforce
-from eccforge.dynamic import _has_k_paths
+from eccforge.dynamic import _cut_side
 from eccforge.gen import random_dynamic_stream, replay
 from eccforge.graph import SelfLoopError, UnknownEdgeError, UnknownVertexError
 from eccforge.oracle import edge_connectivity
@@ -149,7 +149,9 @@ def test_delete_inside_k5_is_one_flow_check(solve_sizes):
 def test_delete_splits_only_its_class(solve_sizes):
     st = SparsTree(k4_pair(), 3)
     st.delete(1, 2)
-    assert (st.full_solves, st.flow_checks, solve_sizes) == (1, 1, [8, 4])
+    # the check's cut peels 1; {2, 3, 4}, a triangle, fails its terminal test
+    # and is solved alone
+    assert (st.full_solves, st.flow_checks, solve_sizes) == (1, 1, [8, 3])
     assert st.partition().as_sets() == {
         frozenset({1}),
         frozenset({2}),
@@ -158,7 +160,7 @@ def test_delete_splits_only_its_class(solve_sizes):
         frozenset({5, 6, 7, 8}),
     }
     st.delete(3, 4)  # between two classes now: no check, no solve
-    assert (st.full_solves, st.flow_checks, solve_sizes) == (1, 1, [8, 4])
+    assert (st.full_solves, st.flow_checks, solve_sizes) == (1, 1, [8, 3])
 
 
 def test_three_links_merge_two_classes(solve_sizes):
@@ -167,8 +169,9 @@ def test_three_links_merge_two_classes(solve_sizes):
         assert not st.max_k_edge(1, 8)
         st.insert(u, v)
     assert st.partition().as_sets() == {frozenset(range(1, 9))}
-    # one build, then one solve of the two-class quotient per link
-    assert (st.full_solves, st.flow_checks, solve_sizes) == (1, 0, [8, 2, 2, 2])
+    # one build; the first two links leave both classes at quotient degree
+    # < 3, so only the third solves the two-class quotient
+    assert (st.full_solves, st.flow_checks, solve_sizes) == (1, 0, [8, 2])
 
 
 def test_random_stream_matches_static_solver():
@@ -177,9 +180,7 @@ def test_random_stream_matches_static_solver():
         n = rng.randint(4, 12)
         stream = random_dynamic_stream(rng, n, rng.randint(30, 60), seed_edges=n)
         cur = Multigraph()
-        for _ in range(n):
-            cur.add_vertex()
-        st = SparsTree(cur.copy(), 3)
+        st = SparsTree(cur.copy(), 3)  # the stream's `av` ops add the vertices
         for op, answer in replay(st, stream, cur):
             if op[0] == "q":
                 assert answer == max_kec_subgraphs(cur, 3).same(op[1], op[2])
@@ -195,8 +196,10 @@ def test_random_stream_below_two_vertices(n):
     # no edge to draw: one vertex gives only `q 1 1`, none an empty stream
     stream = random_dynamic_stream(random.Random(5), n, 10, seed_edges=3)
     assert stream == ([("av",)] + [("q", 1, 1)] * 10 if n else [])
-    st = SparsTree(_graph_of(n, []), 3)
-    assert [answer for _, answer in replay(st, stream)] == [True] * 10 * n
+    st = SparsTree(Multigraph(), 3)
+    answers = [answer for op, answer in replay(st, stream) if op[0] == "q"]
+    assert answers == [True] * 10 * n
+    assert st.partition().as_sets() == ({frozenset({1})} if n else set())
 
 
 def _pair(rng, n):
@@ -216,6 +219,7 @@ def test_scoped_updates_match_oracle():
             live = [_pair(rng, n) for _ in range(m)]
             g = _graph_of(n, live)
             st = SparsTree(g.copy(), k)
+            st.validate()
             assert st.partition() == maximal_kec_bruteforce(g, k)
             for _ in range(40):
                 if live and rng.random() < 0.5:
@@ -227,6 +231,7 @@ def test_scoped_updates_match_oracle():
                     live.append((u, v))
                     st.insert(u, v)
                     g.add_edge(u, v)
+                st.validate()
                 assert st.partition() == maximal_kec_bruteforce(g, k), (k, n, u, v)
             assert st.live_edge_count() == g.m
 
@@ -268,8 +273,14 @@ def _class_lambda(n, edges, class_of, c, s, t):
     return edge_connectivity(g.subgraph_with_edges(inside), s, t)
 
 
+def _has_k_paths(adj, class_of, c, s, t, k):
+    """Whether `_cut_side` finds k edge-disjoint s-t paths in class c."""
+    return _cut_side(adj, class_of, c, s, t, k) is None
+
+
 def _count_results(monkeypatch, name):
-    """Count the results of every call to `eccforge.dynamic.<name>`."""
+    """Count the calls to `eccforge.dynamic.<name>` that found their path
+    (True: they returned None) and those that returned a cut side (False)."""
     import eccforge.dynamic
 
     results = Counter()
@@ -277,7 +288,7 @@ def _count_results(monkeypatch, name):
 
     def spy(*args):
         found = real(*args)
-        results[found] += 1
+        results[found is None] += 1
         return found
 
     monkeypatch.setattr(eccforge.dynamic, name, spy)
@@ -286,7 +297,7 @@ def _count_results(monkeypatch, name):
 
 @pytest.fixture
 def augments(monkeypatch):
-    """The result of every two-ended search `_has_k_paths` makes."""
+    """The result of every two-ended search `_cut_side` makes."""
     return _count_results(monkeypatch, "_augment")
 
 
@@ -307,7 +318,7 @@ class _FlowSpy:
         def augment(adj, class_of, c, s, t, flow):
             self.flows.append({x: dict(row) for x, row in flow.items()})
             found = real_augment(adj, class_of, c, s, t, flow)
-            self.found.append(found)
+            self.found.append(found is None)
             return found
 
         monkeypatch.setattr(eccforge.dynamic, "_push", push)
@@ -317,7 +328,7 @@ class _FlowSpy:
         self.pushes, self.flows, self.found = 0, [], []
 
     def check(self, adj, class_of, c, s, t, k, held, paths):
-        """Assert what one `_has_k_paths` call did, given its answer and the
+        """Assert what one `_cut_side` call did, given its answer and the
         flow oracle's count of edge-disjoint s-t paths in class c."""
         if not self.flows:  # settled by the short paths: no flow at all
             assert held and self.pushes == 0
@@ -358,8 +369,20 @@ def test_has_k_paths_matches_flow_oracle_on_the_class():
             continue
         s, t = rng.sample(members, 2)
         want = _class_lambda(n, edges, class_of, c, s, t) >= k
-        got = _has_k_paths(_adjacency(n, edges), class_of, c, s, t, k)
+        adj = _adjacency(n, edges)
+        side = _cut_side(adj, class_of, c, s, t, k)
+        got = side is None
         assert got == want, (n, k, edges, class_of, s, t)
+        if side is not None:
+            # a side of the class holding one end, left by < k class edges
+            assert side <= set(members) and (s in side) != (t in side)
+            leaving = sum(
+                mult
+                for x in side
+                for y, mult in adj[x].items()
+                if class_of[y] == c and y not in side
+            )
+            assert leaving < k, (n, k, edges, class_of, s, t, side)
         answers[got] += 1
     assert answers[True] > 20 and answers[False] > 20
 
@@ -423,21 +446,22 @@ def test_checks_on_a_dense_stream_build_a_flow_only_to_search(
     dense multigraphs above check the flow that a search starts from."""
     import eccforge.dynamic
 
-    real = eccforge.dynamic._has_k_paths
+    real = eccforge.dynamic._cut_side
     checks = Counter()
 
     def check(adj, class_of, c, s, t, k):
         flow_spy.clear()
-        held = real(adj, class_of, c, s, t, k)
+        side = real(adj, class_of, c, s, t, k)
+        held = side is None
         edges = [(x, y) for x in adj for y, m in adj[x].items() if x < y]
         edges = [(x, y) for x, y in edges for _ in range(adj[x][y])]
         paths = _class_lambda(n, edges, class_of, c, s, t)
         assert held == (paths >= k)
         flow_spy.check(adj, class_of, c, s, t, k, held, paths)
         checks[bool(flow_spy.flows)] += 1
-        return held
+        return side
 
-    monkeypatch.setattr(eccforge.dynamic, "_has_k_paths", check)
+    monkeypatch.setattr(eccforge.dynamic, "_cut_side", check)
     n = 24
     for k in (3, 4, 5):
         stream = random_dynamic_stream(random.Random(k), n, 300, seed_edges=6 * n)
@@ -643,16 +667,169 @@ def test_parallel_links_count_in_merge_and_split(solve_sizes):
         frozenset({1, 2, 3, 4}),
         frozenset({5, 6, 7, 8}),
     }
-    assert (st.full_solves, st.flow_checks, solve_sizes) == (1, 1, [8, 2, 2, 2, 8])
+    # only the third copy solves the quotient; the split's two sides have one
+    # terminal each (1 and 5), so neither is solved
+    assert (st.full_solves, st.flow_checks, solve_sizes) == (1, 1, [8, 2])
 
 
-def test_decisions_pinned_on_a_seeded_stream(monkeypatch):
+def _ids(st, vertices):
+    return {st._class_of[x] for x in vertices}
+
+
+def test_split_peels_one_vertex_and_keeps_the_rest_unsolved(solve_sizes):
+    # K5 on 1..5 and vertex 6 on 1, 2, 3: one class at k = 3. Deleting 6-1
+    # cuts 6 off; the rest's terminals are 1, 2 and 3, and 1 has 3 paths in
+    # the K5 to each, so no side is solved
+    edges = [*itertools.combinations(range(1, 6), 2), (6, 2), (6, 3)]
+    st = SparsTree(_graph_of(6, edges + [(6, 1)]), 3)
+    (kept,) = _ids(st, range(1, 7))
+    st.delete(6, 1)
+    st.validate()
+    assert st.partition() == maximal_kec_bruteforce(_graph_of(6, edges), 3)
+    assert st.partition().as_sets() == {frozenset(range(1, 6)), frozenset({6})}
+    assert _ids(st, range(1, 6)) == {kept} and _ids(st, [6]) != {kept}
+    assert (st.flow_checks, solve_sizes) == (1, [6])
+    assert st._quotient == {kept: {st._class_of[6]: 2}, st._class_of[6]: {kept: 2}}
+
+
+def test_split_solves_only_the_side_that_fails_its_terminals(solve_sizes):
+    # two K4s, 1..4 and 5..8, joined by 1-5 and 2-6, and vertex 9 on 3, 4
+    # and 7: one class at k = 3. Deleting 9-7 cuts 9 off, with the terminal
+    # 9 alone; the rest's terminals are 7, 3 and 4, and 7 has only the two
+    # links to 3, so the rest, not the whole class, is solved
+    edges = [*itertools.combinations(range(1, 5), 2)]
+    edges += [*itertools.combinations(range(5, 9), 2)]
+    edges += [(1, 5), (2, 6), (9, 3), (9, 4)]
+    g = _graph_of(9, edges + [(9, 7)])
+    assert maximal_kec_bruteforce(g, 3).as_sets() == {frozenset(range(1, 10))}
+    st = SparsTree(g, 3)
+    st.delete(9, 7)
+    st.validate()
+    assert st.partition() == maximal_kec_bruteforce(_graph_of(9, edges), 3)
+    assert st.partition().as_sets() == {
+        frozenset({1, 2, 3, 4}),
+        frozenset({5, 6, 7, 8}),
+        frozenset({9}),
+    }
+    assert (st.flow_checks, solve_sizes) == (1, [9, 8])
+
+
+def test_split_moves_the_complement_of_a_large_dry_side(solve_sizes):
+    # k = 1: the path 1..10, the bridge 10-11 and a star on 11. The search
+    # from 10 has the smaller frontier all the way down the path, so it runs
+    # dry holding 10 of the 16 vertices; the star, the smaller side, moves
+    edges = [(i, i + 1) for i in range(1, 11)] + [(11, x) for x in range(12, 17)]
+    st = SparsTree(_graph_of(16, edges), 1)
+    (kept,) = _ids(st, range(1, 17))
+    st.delete(10, 11)
+    st.validate()
+    rest = _graph_of(16, edges[:9] + edges[10:])
+    assert st.partition() == maximal_kec_bruteforce(rest, 1)
+    assert _ids(st, range(1, 11)) == {kept}
+    assert len(_ids(st, range(11, 17)) - {kept}) == 1
+    assert (st.flow_checks, solve_sizes) == (1, [16])
+
+
+def test_insert_between_classes_below_quotient_degree_k_solves_nothing(solve_sizes):
+    st = SparsTree(k4_pair(), 3)
+    assert st.insert_vertex() == 9
+    g = k4_pair()
+    g.add_vertex()
+    # the K4s reach quotient degree 2, then vertex 9 reaches 2 while the
+    # first K4 has 4: each insert has a class below k = 3
+    for u, v in [(1, 5), (2, 6), (9, 1), (9, 2)]:
+        st.insert(u, v)
+        g.add_edge(u, v)
+        st.validate()
+        assert st.partition() == maximal_kec_bruteforce(g, 3)
+    assert solve_sizes == [8]
+    # a third edge lifts 9 to degree 3; the region from 9 holds 9 and the
+    # first K4 (the second one has degree 2), and solving it merges them
+    st.insert(9, 3)
+    g.add_edge(9, 3)
+    st.validate()
+    assert st.partition() == maximal_kec_bruteforce(g, 3)
+    assert st.partition().as_sets() == {
+        frozenset({1, 2, 3, 4, 9}),
+        frozenset({5, 6, 7, 8}),
+    }
+    assert solve_sizes == [8, 2]
+
+
+def test_insert_vertex_is_a_fresh_singleton(solve_sizes):
+    st = SparsTree(Multigraph(), 2)
+    assert [st.insert_vertex() for _ in range(3)] == [1, 2, 3]
+    assert st.partition().as_sets() == {frozenset({x}) for x in (1, 2, 3)}
+    st.insert(1, 2)
+    st.insert(1, 2)
+    assert st.max_k_edge(1, 2) and not st.max_k_edge(1, 3)
+    assert st.insert_vertex() == 4
+    assert not st.max_k_edge(4, 1)
+    st.validate()
+    assert st.partition().as_sets() == {
+        frozenset({1, 2}),
+        frozenset({3}),
+        frozenset({4}),
+    }
+    assert solve_sizes == [0, 2]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    ["class_of", "members", "quotient", "zero", "asymmetric", "edges", "partition"],
+)
+def test_validate_catches_a_corrupt_engine(corrupt):
+    from eccforge.dynamic import DynamicError
+
+    g = k4_pair()
+    g.add_edge(1, 5)
+    st = SparsTree(g, 3)
+    st.validate()
+    a, b = st._class_of[1], st._class_of[5]
+    if corrupt == "class_of":
+        st._class_of[2] = b
+    elif corrupt == "members":
+        st._members[a].discard(2)
+    elif corrupt == "quotient":
+        st._quotient[a][b] = st._quotient[b][a] = 2
+    elif corrupt == "zero":
+        c = st._class_of[st.insert_vertex()]
+        st._quotient[a][c] = st._quotient[c][a] = 0
+    elif corrupt == "asymmetric":
+        st._quotient[a][b] += 1
+    elif corrupt == "edges":
+        st._m += 1
+    else:
+        st.partition()
+        st._members[a].discard(2)
+        st._members[b].add(2)
+        st._class_of[2] = b
+    with pytest.raises(DynamicError):
+        st.validate()
+
+
+def test_decisions_pinned_on_a_seeded_stream(monkeypatch, solve_sizes):
     """The flow checks, their answers and the partition after every burst
     of updates on one seeded stream (k = 3, n = 24, seed graph of n edges
     growing to ~5n); the values are the engine's decisions on this stream,
     so a change to the delete check or the merge that alters a decision,
-    not only its cost, fails here."""
-    held = _count_results(monkeypatch, "_has_k_paths")
+    not only its cost, fails here. The terminal checks of the splits and the
+    solves are pinned as well: a return to solving a whole class on every
+    failed check, or a component on every insert between classes, fails
+    here too."""
+    import eccforge.dynamic
+
+    real = eccforge.dynamic._cut_side
+    tally = Counter()
+    edge = None
+
+    def spy(adj, class_of, c, s, t, k):
+        side = real(adj, class_of, c, s, t, k)
+        # a terminal pair lies on one side of the cut, so never is the edge
+        tally["delete" if {s, t} == edge else "terminal", side is None] += 1
+        return side
+
+    monkeypatch.setattr(eccforge.dynamic, "_cut_side", spy)
     n = 24
     stream = random_dynamic_stream(random.Random(1), n, 400, seed_edges=n)
     st = SparsTree(_graph_of(n, []), 3)
@@ -660,12 +837,19 @@ def test_decisions_pinned_on_a_seeded_stream(monkeypatch):
     bursts = 0
     for i, op in enumerate(stream):
         if op[0] in ("ae", "de"):
+            edge = {op[1], op[2]}
             (st.insert if op[0] == "ae" else st.delete)(op[1], op[2])
             if i + 1 == len(stream) or stream[i + 1][0] == "q":
                 digest.update(repr(st.partition()).encode())
                 bursts += 1
     assert (st.flow_checks, st.full_solves, bursts) == (70, 1, 91)
-    assert (held[True], held[False]) == (57, 13)
+    assert (tally["delete", True], tally["delete", False]) == (57, 13)
+    assert (tally["terminal", True], tally["terminal", False]) == (20, 3)
+    # the build and 45 solves of a split side or a quotient region, over 376
+    # vertices or classes in all; solving the whole class on each failed
+    # check and the component's quotient on each insert between classes
+    # made 107 calls over 1 505
+    assert (len(solve_sizes), sum(solve_sizes)) == (46, 376)
     assert digest.hexdigest() == (
         "2c763d11325cd17d2f95c356c02cf0019eb2d84426c8836302f68b9b30047408"
     )
