@@ -1,6 +1,6 @@
 """Maximal k-edge-connected subgraphs: incremental, static, and fully dynamic."""
 
-from .graph import Cut, Multigraph, parse_graph, parse_stream, serialize_graph
+from .graph import Multigraph, parse_graph, parse_stream, serialize_graph
 from .dsu import DsuForest
 from .blockforest import BlockForest
 from .cactusforest import CactusForest
@@ -12,7 +12,7 @@ from .certificates import (
     interconnection_superset,
     k_certificate,
 )
-from .solver import Partition, global_min_cut, max_kec_subgraphs
+from .solver import Partition, max_kec_subgraphs
 from .dynamic import SparsTree
 from .oracle import edge_connectivity, kecc_partition, maximal_kec_bruteforce
 
@@ -20,7 +20,6 @@ __all__ = [
     "BlockForest",
     "CactusForest",
     "CertificateReport",
-    "Cut",
     "DecompTree",
     "DsuForest",
     "ForestDecomposition",
@@ -29,7 +28,6 @@ __all__ = [
     "SparsTree",
     "edge_connectivity",
     "forest_decomposition",
-    "global_min_cut",
     "interconnection_superset",
     "k_certificate",
     "kecc_partition",

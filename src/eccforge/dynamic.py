@@ -21,8 +21,9 @@ what it can change:
 - an insert between classes cu and cv can only merge a group of classes
   that holds both, each of quotient degree >= k. So nothing merges when cu
   or cv has quotient degree < k; otherwise the quotient is solved on the
-  region reached from cu through classes of degree >= k, and the group's
-  smaller classes move into its largest.
+  region reached from cu through classes of degree >= k (a region of cu and
+  cv alone needs no solve: they merge iff k edges join them), and the
+  group's smaller classes move into its largest.
 
 Only the vertices that move are relabelled: a local cut argument in the
 spirit of Forster et al. (SODA 2020) and Chechik et al. (SODA 2017). There
@@ -319,7 +320,10 @@ class SparsTree:
                     if sum(quotient[d].values()) >= k:
                         region.add(d)
                         stack.append(d)
-        group = next(g for g in kec_classes(quotient, region, k) if cu in g)
+        if len(region) == 2:  # cu and cv alone: they merge iff k edges join them
+            group = region if quotient[cu][cv] >= k else {cu}
+        else:
+            group = next(g for g in kec_classes(quotient, region, k) if cu in g)
         if len(group) == 1:
             return
         members, class_of = self._members, self._class_of

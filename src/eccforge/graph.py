@@ -171,18 +171,6 @@ class Multigraph:
             raise GraphError("edge map and adjacency lists disagree")
 
 
-class Cut:
-    """An edge cut [S, S-bar]: its size, its edge ids, and one side S."""
-
-    def __init__(self, value: int, edges: set[int], side: set[int]):
-        self.value = value
-        self.edges = edges
-        self.side = side
-
-    def __repr__(self) -> str:
-        return f"Cut(value={self.value}, edges={sorted(self.edges)}, side={sorted(self.side)})"
-
-
 # -- text formats ----------------------------------------------------
 #
 # Graph file:  header `p <n> <m>`, then m lines `e <u> <v>`, 1-indexed.

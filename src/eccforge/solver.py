@@ -6,37 +6,33 @@ set and leaves the adjacency as it was. `max_kec_subgraphs` turns a
 `Multigraph` into an adjacency and calls it; the fully dynamic wrapper calls
 it on its own live adjacency, for a class or for a quotient of classes.
 
-A worklist of vertex sets starts from the given set. Each set is first
-peeled: vertices of degree < k inside it become singleton classes, as in the
-k-core step of Chang et al. (SIGMOD 2013). Each connected piece of the rest
-then runs capped maximum-adjacency (MA) phases, Nagamochi and Ibaraki's
-CAPFOREST (SIAM J. Discrete Math 1992), with keys capped at k: a pair whose
-key reaches k is k-edge-connected inside the piece, so it is contracted. The
-piece is a class once one super-vertex is left. A super-vertex of degree < k
-is a cut of < k edges: the piece splits there and both sides go back on the
-worklist uncontracted. No exact minimum cut is ever needed.
-
-`global_min_cut` runs the same MA phase uncapped, as Stoer-Wagner.
+The solver runs a worklist of items. Each item owns its adjacency, so its
+steps edit and read its own rows and never filter by vertex set again; an
+item is uncontracted (each vertex is itself) or contracted (each vertex is a
+super-vertex standing for a set of input vertices). The first item is one
+copy of the input restricted to the given set. An item is first peeled:
+vertices of degree < k leave it, with their edges, as classes alone, as in
+the k-core step of Chang et al. (SIGMOD 2013). Each connected piece of the
+rest then runs maximum-adjacency (MA) phases with keys capped at k,
+Nagamochi and Ibaraki's CAPFOREST (SIAM J. Discrete Math 1992), on a bucket
+queue of keys 0..k (Henzinger et al., ALENEX 2018): a pair whose key reaches
+k is k-edge-connected inside the piece, so it is contracted. The piece is a
+class once one super-vertex is left. Once a super-vertex has degree < k, the
+contracted piece becomes an item of its own: a cut of it is a cut of the
+piece with the same edges, so its classes, mapped back to input vertices,
+hold the piece's classes. A class of one vertex is final; a larger one is
+solved again as a fresh uncontracted item. Each contracted item is smaller
+than its piece and each fresh item a strict subset of it, so the worklist
+ends, with no recursion. A cycle with every edge doubled still contracts one
+pair per phase, so it takes n - 1 phases. No exact minimum cut is ever
+needed, and the library has none: `oracle.edge_connectivity` gives the
+value between two vertices.
 """
 
 from __future__ import annotations
 
-import heapq
-
-from .graph import Cut, Multigraph
+from .graph import Multigraph
 from .certificates import k_certificate
-
-
-class SolverError(Exception):
-    pass
-
-
-class DisconnectedError(SolverError):
-    pass
-
-
-class TooSmallError(SolverError):
-    pass
 
 
 class Partition:
@@ -74,102 +70,10 @@ def _adjacency(g: Multigraph) -> dict[int, dict[int, int]]:
     """g as vertex -> {neighbour: multiplicity}, every vertex a key."""
     adj: dict[int, dict[int, int]] = {v: {} for v in g.vertex_ids()}
     for u, v in g._edges.values():  # one pass over the edge table
-        adj[u][v] = adj[u].get(v, 0) + 1
-        adj[v][u] = adj[v].get(u, 0) + 1
+        row_u, row_v = adj[u], adj[v]
+        row_u[v] = row_u.get(v, 0) + 1
+        row_v[u] = row_v.get(u, 0) + 1
     return adj
-
-
-def _ma_phase(adj: dict[int, dict[int, int]], cap: int | None):
-    """One maximum-adjacency scan of a connected weighted graph.
-
-    The scan starts at adj's first vertex and next takes the unscanned vertex
-    with the largest key, its edge weight to the scanned ones, capped at
-    `cap` unless `cap` is None; ties go to the smaller id. Returns the scan
-    order, each vertex's key when it was scanned and, with a cap, every pair
-    (x, y) whose key reached the cap when x was scanned: for each such pair
-    lambda(x, y) >= cap (Nagamochi-Ibaraki).
-    """
-    start = next(iter(adj))
-    key = {start: 0}
-    order: list[int] = []
-    pairs: list[tuple[int, int]] = []
-    scanned: set[int] = set()
-    heap = [(0, start)]
-    while heap:
-        neg, x = heapq.heappop(heap)
-        if x in scanned or -neg != key[x]:
-            continue  # a stale entry: x was scanned or its key has grown
-        scanned.add(x)
-        order.append(x)
-        for y, w in adj[x].items():
-            if y in scanned:
-                continue
-            old = key.get(y, 0)
-            r = old + w
-            if cap is not None and r >= cap:
-                pairs.append((x, y))
-                if old == cap:
-                    continue
-                r = cap
-            key[y] = r
-            heapq.heappush(heap, (-r, y))
-    return order, key, pairs
-
-
-def _contract(adj: dict[int, dict[int, int]], members: dict[int, list[int]], pairs):
-    """Merge each pair's two super-vertices; returns the contracted
-    (adjacency, members), each merged vertex named by one of its old names."""
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        root = x
-        while root in parent:
-            root = parent[root]
-        while x != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    for x, y in pairs:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-    name = {x: find(x) for x in adj}
-    new_adj: dict[int, dict[int, int]] = {}
-    new_members: dict[int, list[int]] = {}
-    for x, row in adj.items():
-        rx = name[x]
-        new_row = new_adj.setdefault(rx, {})
-        new_members.setdefault(rx, []).extend(members[x])
-        for y, w in row.items():
-            ry = name[y]
-            if ry != rx:
-                new_row[ry] = new_row.get(ry, 0) + w
-    return new_adj, new_members
-
-
-def global_min_cut(g: Multigraph) -> Cut:
-    """A minimum edge cut of a connected multigraph with >= 2 vertices."""
-    if g.n < 2:
-        raise TooSmallError("minimum cut needs at least two vertices")
-    if len(g.connected_components()) != 1:
-        raise DisconnectedError("graph is not connected")
-    adj = _adjacency(g)
-    members = {v: [v] for v in adj}
-    value = None
-    side: set[int] = set()
-    while len(adj) > 1:
-        # Stoer-Wagner: the last vertex's key is its whole degree, the
-        # value of the cut of the phase; then merge the last two vertices
-        order, key, _ = _ma_phase(adj, None)
-        s, t = order[-2], order[-1]
-        if value is None or key[t] < value:
-            value, side = key[t], set(members[t])
-        adj, members = _contract(adj, members, [(s, t)])
-    items = [(eid, *g.endpoints(eid)) for eid in g.edge_ids()]
-    edges = {eid for eid, u, v in items if (u in side) != (v in side)}
-    if len(edges) != value:
-        raise SolverError("cut side inconsistent with cut value")
-    return Cut(value, edges, side)
 
 
 def max_kec_subgraphs(g: Multigraph, k: int, use_certificate: bool = False) -> Partition:
@@ -181,85 +85,156 @@ def max_kec_subgraphs(g: Multigraph, k: int, use_certificate: bool = False) -> P
     if use_certificate:
         g = k_certificate(g, k).certificate
     adj = _adjacency(g)
-    return Partition.from_classes(kec_classes(adj, set(adj), k))
+    return Partition.from_classes(kec_classes(adj, adj.keys(), k))
 
 
 def kec_classes(adj: dict[int, dict[int, int]], vertices, k: int) -> list[set[int]]:
     """The vertex sets of the maximal k-edge-connected subgraphs of adj
-    (vertex -> {neighbour: multiplicity}) restricted to `vertices`, each a key
-    of adj. Edges that leave `vertices` are ignored; adj is not changed."""
+    (vertex -> {neighbour: multiplicity}) restricted to `vertices`, a set (or
+    keys view) of keys of adj. Edges that leave `vertices` are ignored; adj
+    is not changed."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    if len(vertices) == len(adj):  # all of adj
+        own = {v: row.copy() for v, row in adj.items()}
+    else:
+        own = _restrict(adj, vertices)
     classes: list[set[int]] = []
-    work = [set(vertices)]
+    # items: (adjacency the solver owns, members), members None when each
+    # vertex is itself, else super-vertex -> the input vertices it holds
+    work: list[tuple[dict, dict | None]] = [(own, None)]
     while work:
-        core = _peel(adj, work.pop(), k, classes)
-        for piece in _components(adj, core):
-            sides = _small_cut_sides(adj, piece, k)
-            if sides is None:
-                classes.append(piece)
-            else:
-                work.extend(sides)
+        own, members = work.pop()
+        found = [[x] if members is None else members[x] for x in _peel(own, k)]
+        for piece in _components(own):
+            groups = members
+            while True:
+                piece, groups = _contract(piece, groups, _ma_phase(piece, k))
+                if len(piece) == 1:
+                    found.extend(groups.values())
+                    break
+                if any(sum(row.values()) < k for row in piece.values()):
+                    work.append((piece, groups))
+                    break
+        for group in found:
+            if members is None or len(group) == 1:
+                classes.append(set(group))
+            else:  # a class of a contracted item: solve it on the input
+                work.append((_restrict(adj, set(group)), None))
     return classes
 
 
-def _peel(adj, S: set[int], k: int, classes: list[set[int]]) -> set[int]:
-    """The k-core of adj[S]. Each vertex whose degree inside what is left
-    falls below k is removed in turn and appended to classes alone."""
-    deg = {v: sum(w for u, w in adj[v].items() if u in S) for v in S}
+def _restrict(adj, S) -> dict[int, dict[int, int]]:
+    """A copy of adj[S], S a set of keys of adj."""
+    return {v: {u: w for u, w in adj[v].items() if u in S} for v in S}
+
+
+def _peel(own, k: int) -> list[int]:
+    """Remove from own, in turn, each vertex whose degree in what is left
+    falls below k, with its back-entries; returns the removed vertices."""
+    deg = {v: sum(row.values()) for v, row in own.items()}
     low = [v for v, d in deg.items() if d < k]
-    core = set(S)
+    removed = []
     while low:
         v = low.pop()
-        core.discard(v)
-        classes.append({v})
-        for u, w in adj[v].items():
-            if u in core:
-                d = deg[u]
-                deg[u] = d - w
-                if d >= k > d - w:
-                    low.append(u)
-    return core
+        removed.append(v)
+        for u, w in own.pop(v).items():
+            del own[u][v]
+            d = deg[u]
+            deg[u] = d - w
+            if d >= k > d - w:
+                low.append(u)
+    return removed
 
 
-def _components(adj, S: set[int]) -> list[set[int]]:
-    """Vertex sets of the connected components of adj[S]."""
+def _components(own) -> list[dict[int, dict[int, int]]]:
+    """The connected components of own, each an adjacency that shares own's
+    rows."""
     seen: set[int] = set()
     out = []
-    for s in S:
+    for s in own:
         if s in seen:
             continue
-        piece = {s}
-        frontier = [s]
-        while frontier:
-            v = frontier.pop()
-            for u in adj[v]:
-                if u in S and u not in piece:
-                    piece.add(u)
-                    frontier.append(u)
-        seen |= piece
+        piece = {s: own[s]}
+        stack = [s]
+        while stack:
+            for u in piece[stack.pop()]:
+                if u not in piece:
+                    piece[u] = own[u]
+                    stack.append(u)
+        seen.update(piece)
         out.append(piece)
     return out
 
 
-def _small_cut_sides(adj, piece: set[int], k: int) -> list[set[int]] | None:
-    """None if adj[piece], connected with >= 2 vertices, is k-edge-connected;
-    otherwise vertex sets whose boundaries inside the piece are cuts of < k
-    edges, together covering the piece.
+def _ma_phase(adj: dict[int, dict[int, int]], k: int) -> list[tuple[int, int]]:
+    """One maximum-adjacency scan of a connected weighted graph, keys capped
+    at k: the scan starts at adj's first vertex and next takes an unscanned
+    vertex of the largest key, its edge weight to the scanned ones, capped at
+    k. The keys live in buckets 0..k; an entry whose vertex was scanned or
+    has a larger key is skipped when popped. Returns every pair (x, y) whose
+    key reached k when x was scanned: lambda(x, y) >= k for each
+    (Nagamochi-Ibaraki)."""
+    start = next(iter(adj))
+    done = k + 1  # the key of a scanned vertex
+    key = {start: 0}
+    buckets: list[list[int]] = [[] for _ in range(done)]
+    buckets[0].append(start)
+    top = 0
+    pairs: list[tuple[int, int]] = []
+    while top >= 0:
+        bucket = buckets[top]
+        if not bucket:
+            top -= 1
+            continue
+        x = bucket.pop()
+        if key[x] != top:
+            continue
+        key[x] = done
+        for y, w in adj[x].items():
+            old = key.get(y, 0)
+            if old >= k:
+                if old == k:
+                    pairs.append((x, y))
+                continue
+            r = old + w
+            if r >= k:
+                pairs.append((x, y))
+                r = k
+            key[y] = r
+            buckets[r].append(y)
+            if r > top:
+                top = r
+    return pairs
 
-    Capped MA phases contract pairs that are k-edge-connected inside the
-    piece until one super-vertex is left, or one has degree < k. Every edge
-    between two returned sets lies in a cut of < k edges, so no
-    k-edge-connected subgraph of the piece holds both its ends.
-    """
-    cadj = {v: {u: w for u, w in adj[v].items() if u in piece} for v in piece}
-    members = {v: [v] for v in piece}
-    # one super-vertex is tested first: alone, it has degree 0
-    while len(cadj) > 1:
-        low = [x for x, row in cadj.items() if sum(row.values()) < k]
-        if low:
-            sides = [set(members[x]) for x in low]
-            rest = piece.difference(*sides)
-            return sides + [rest] if rest else sides
-        cadj, members = _contract(cadj, members, _ma_phase(cadj, k)[2])
-    return None
+
+def _contract(adj, members, pairs):
+    """Merge the ends of each pair. Returns the contracted adjacency and its
+    members, super-vertex -> the input vertices it holds (with members None,
+    each vertex of adj holds itself); a merged vertex keeps one old name."""
+    parent: dict[int, int] = {}
+    for x, y in pairs:
+        while x in parent:  # path halving
+            parent[x] = x = parent.get(parent[x], parent[x])
+        while y in parent:
+            parent[y] = y = parent.get(parent[y], parent[y])
+        if x != y:
+            parent[y] = x
+    for x, r in parent.items():  # point every merged vertex at its root
+        while r in parent:
+            r = parent[r]
+        parent[x] = r
+    new_adj: dict[int, dict[int, int]] = {}
+    new_members: dict[int, list[int]] = {}
+    for x, row in adj.items():
+        rx = parent.get(x, x)
+        new_row = new_adj.get(rx)
+        if new_row is None:
+            new_row = new_adj[rx] = {}
+            new_members[rx] = []
+        new_members[rx].extend((x,) if members is None else members[x])
+        for y, w in row.items():
+            ry = parent.get(y, y)
+            if ry != rx:
+                new_row[ry] = new_row.get(ry, 0) + w
+    return new_adj, new_members

@@ -170,8 +170,9 @@ def test_three_links_merge_two_classes(solve_sizes):
         st.insert(u, v)
     assert st.partition().as_sets() == {frozenset(range(1, 9))}
     # one build; the first two links leave both classes at quotient degree
-    # < 3, so only the third solves the two-class quotient
-    assert (st.full_solves, st.flow_checks, solve_sizes) == (1, 0, [8, 2])
+    # < 3, and the third finds a region of the two classes alone, which
+    # merges on its link count with no solve
+    assert (st.full_solves, st.flow_checks, solve_sizes) == (1, 0, [8])
 
 
 def test_random_stream_matches_static_solver():
@@ -667,9 +668,9 @@ def test_parallel_links_count_in_merge_and_split(solve_sizes):
         frozenset({1, 2, 3, 4}),
         frozenset({5, 6, 7, 8}),
     }
-    # only the third copy solves the quotient; the split's two sides have one
-    # terminal each (1 and 5), so neither is solved
-    assert (st.full_solves, st.flow_checks, solve_sizes) == (1, 1, [8, 2])
+    # the third copy merges a region of two classes on its link count, and
+    # the split's two sides have one terminal each (1 and 5): no solve
+    assert (st.full_solves, st.flow_checks, solve_sizes) == (1, 1, [8])
 
 
 def _ids(st, vertices):
@@ -730,6 +731,24 @@ def test_split_moves_the_complement_of_a_large_dry_side(solve_sizes):
     assert (st.flow_checks, solve_sizes) == (1, [16])
 
 
+def test_ring_of_blocks_splits_into_its_blocks(solve_sizes, blocks_joined):
+    # a ring of 400 K5 blocks (n = 2 000), consecutive blocks joined by two
+    # edges, is one class at k = 3. The first delete of the join 1-7, 2-8
+    # leaves cuts of 3 edges; the second splits the class into its blocks:
+    # one block moves, and the other 1 995 vertices fail their terminal test
+    # and are solved once
+    n = 2000
+    st = SparsTree(blocks_joined(n // 5, 5, 2, ring=True), 3)
+    st.delete(1, 7)
+    assert len(st.partition().classes) == 1
+    st.delete(2, 8)
+    st.validate()
+    assert st.partition().as_sets() == {
+        frozenset(range(i + 1, i + 6)) for i in range(0, n, 5)
+    }
+    assert (st.flow_checks, solve_sizes) == (2, [2000, 1995])
+
+
 def test_insert_between_classes_below_quotient_degree_k_solves_nothing(solve_sizes):
     st = SparsTree(k4_pair(), 3)
     assert st.insert_vertex() == 9
@@ -744,7 +763,8 @@ def test_insert_between_classes_below_quotient_degree_k_solves_nothing(solve_siz
         assert st.partition() == maximal_kec_bruteforce(g, 3)
     assert solve_sizes == [8]
     # a third edge lifts 9 to degree 3; the region from 9 holds 9 and the
-    # first K4 (the second one has degree 2), and solving it merges them
+    # first K4 (the second one has degree 2), and their three links merge
+    # them with no solve
     st.insert(9, 3)
     g.add_edge(9, 3)
     st.validate()
@@ -753,7 +773,27 @@ def test_insert_between_classes_below_quotient_degree_k_solves_nothing(solve_siz
         frozenset({1, 2, 3, 4, 9}),
         frozenset({5, 6, 7, 8}),
     }
-    assert solve_sizes == [8, 2]
+    assert solve_sizes == [8]
+
+
+def test_two_class_region_merges_on_its_link_count(solve_sizes, blocks_joined):
+    # four K4 classes at k = 3: A = 1..4, B = 5..8, C = 9..12, D = 13..16.
+    # A-C and B-D carry two links each, so C and D stay below quotient
+    # degree 3, and each A-B link finds the region of A and B alone: the
+    # first two keep them apart and the third merges them, with no solve
+    g = blocks_joined(4, 4, 0)
+    st = SparsTree(g, 3)
+    for u, v in [(1, 9), (2, 10), (5, 13), (6, 14), (3, 7), (4, 8), (1, 5)]:
+        st.insert(u, v)
+        g.add_edge(u, v)
+        st.validate()
+        assert st.partition() == maximal_kec_bruteforce(g, 3)
+    assert st.partition().as_sets() == {
+        frozenset(range(1, 9)),
+        frozenset(range(9, 13)),
+        frozenset(range(13, 17)),
+    }
+    assert solve_sizes == [16]
 
 
 def test_insert_vertex_is_a_fresh_singleton(solve_sizes):
@@ -771,7 +811,7 @@ def test_insert_vertex_is_a_fresh_singleton(solve_sizes):
         frozenset({3}),
         frozenset({4}),
     }
-    assert solve_sizes == [0, 2]
+    assert solve_sizes == [0]
 
 
 @pytest.mark.parametrize(
@@ -845,11 +885,12 @@ def test_decisions_pinned_on_a_seeded_stream(monkeypatch, solve_sizes):
     assert (st.flow_checks, st.full_solves, bursts) == (70, 1, 91)
     assert (tally["delete", True], tally["delete", False]) == (57, 13)
     assert (tally["terminal", True], tally["terminal", False]) == (20, 3)
-    # the build and 45 solves of a split side or a quotient region, over 376
-    # vertices or classes in all; solving the whole class on each failed
-    # check and the component's quotient on each insert between classes
-    # made 107 calls over 1 505
-    assert (len(solve_sizes), sum(solve_sizes)) == (46, 376)
+    # the build and 33 solves of a split side or a quotient region of three
+    # or more classes, over 352 vertices or classes in all; solving the
+    # two-class regions too made 46 calls over 376, and solving the whole
+    # class on each failed check and the component's quotient on each insert
+    # between classes made 107 calls over 1 505
+    assert (len(solve_sizes), sum(solve_sizes)) == (34, 352)
     assert digest.hexdigest() == (
         "2c763d11325cd17d2f95c356c02cf0019eb2d84426c8836302f68b9b30047408"
     )

@@ -10,77 +10,12 @@ import pytest
 
 from eccforge import (
     Multigraph,
-    global_min_cut,
     max_kec_subgraphs,
     maximal_kec_bruteforce,
 )
 from eccforge.gen import planted_clusters, random_multigraph
 from eccforge.oracle import kecc_partition
-from eccforge.solver import DisconnectedError, TooSmallError, _adjacency, kec_classes
-
-
-def enumerate_min_cut(g):
-    """Exhaustive minimum cut for n <= 12: try every proper vertex subset."""
-    verts = sorted(g.vertex_ids())
-    items = [(eid, *g.endpoints(eid)) for eid in g.edge_ids()]
-    best = None
-    for r in range(1, len(verts)):
-        for side in itertools.combinations(verts[1:], r - 1):
-            s = {verts[0], *side}
-            value = sum(1 for _e, a, b in items if (a in s) != (b in s))
-            if best is None or value < best:
-                best = value
-    return best
-
-
-def complete(n):
-    g = Multigraph()
-    for _ in range(n):
-        g.add_vertex()
-    for u in range(1, n + 1):
-        for v in range(u + 1, n + 1):
-            g.add_edge(u, v)
-    return g
-
-
-def test_min_cut_bridge(two_k4_bridge):
-    cut = global_min_cut(two_k4_bridge)
-    assert cut.value == 1
-    (eid,) = cut.edges
-    assert set(two_k4_bridge.endpoints(eid)) == {4, 5}
-    assert cut.side in ({1, 2, 3, 4}, {5, 6, 7, 8})
-
-
-def test_min_cut_triangle_and_k4():
-    assert global_min_cut(complete(3)).value == 2
-    assert global_min_cut(complete(4)).value == 3
-
-
-def test_min_cut_matches_enumeration():
-    rng = random.Random(55)
-    for _ in range(30):
-        n = rng.randint(2, 9)
-        g = random_multigraph(rng, n, rng.randint(n - 1, 3 * n))
-        if len(g.connected_components()) != 1:
-            continue
-        cut = global_min_cut(g)
-        assert cut.value == enumerate_min_cut(g)
-        crossing = {
-            eid
-            for eid in g.edge_ids()
-            if (g.endpoints(eid)[0] in cut.side) != (g.endpoints(eid)[1] in cut.side)
-        }
-        assert crossing == cut.edges
-
-
-def test_min_cut_errors():
-    g = Multigraph()
-    g.add_vertex()
-    with pytest.raises(TooSmallError):
-        global_min_cut(g)
-    g.add_vertex()
-    with pytest.raises(DisconnectedError):
-        global_min_cut(g)
+from eccforge.solver import Partition, _adjacency, kec_classes
 
 
 def test_k1_components():
@@ -282,37 +217,95 @@ def test_kec_classes_on_a_vertex_subset_matches_oracle():
                 sorted(c) for c in want.classes if c <= subset
             ), (k, n, subset)
             assert adj == before
+            # the whole key set takes the other way in: a copy of every row
+            whole = kec_classes(adj, adj.keys(), k)
+            assert Partition.from_classes(whole) == maximal_kec_bruteforce(g, k)
+            assert adj == before
     assert kec_classes({1: {2: 3}, 2: {1: 3}}, set(), 3) == []
     with pytest.raises(ValueError):
         kec_classes({1: {}}, {1}, 0)
 
 
-def test_min_cut_matches_flow_oracle_beyond_enumeration():
-    from eccforge.oracle import edge_connectivity
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_necklaces_rings_and_doubled_cycles_match_oracle(k, blocks_joined):
+    """Chains and rings of blocks, the families where a contracted
+    super-vertex of degree < k ends a piece's contraction, and cycles with
+    every edge doubled or tripled, where each capped phase contracts one
+    pair."""
+    for shape in [
+        (8, 5, 2, False, 1),  # necklace of K5 blocks
+        (8, 5, 2, True, 1),  # ring of K5 blocks
+        (6, 4, 3, False, 2),  # chain of doubled K4s, joins of 3
+        (5, 6, 1, True, 1),  # ring of K6s on single edges
+        (13, 3, 2, True, 2),  # ring of doubled triangles
+        (40, 1, 2, True, 1),  # doubled cycle
+        (30, 1, 3, False, 1),  # tripled path
+        (25, 1, 3, True, 1),  # tripled cycle
+    ]:
+        g = blocks_joined(*shape)
+        adj = _adjacency(g)
+        before = copy.deepcopy(adj)
+        got = Partition.from_classes(kec_classes(adj, adj.keys(), k))
+        assert got == maximal_kec_bruteforce(g, k), (k, shape)
+        assert adj == before
 
-    rng = random.Random(77)
-    checked = nontrivial = 0
-    while checked < 20:
-        if checked % 2:
-            n = rng.randint(13, 30)
-            g = random_multigraph(rng, n, rng.randint(2 * n, 5 * n))
-        else:
-            # two dense blocks of 7..15 joined by 1..4 edges, so the minimum
-            # cut can lie between the blocks rather than at one vertex
-            size = rng.randint(7, 15)
-            g = planted_clusters(rng, 2, size, 4 * size, rng.randint(1, 4))
-        if len(g.connected_components()) != 1:
-            continue
-        checked += 1
-        cut = global_min_cut(g)
-        v0, *rest = g.vertex_ids()
-        assert cut.value == min(edge_connectivity(g, v0, v) for v in rest)
-        assert len(cut.edges) == cut.value
-        for eid in cut.edges:
-            a, b = g.endpoints(eid)
-            assert (a in cut.side) != (b in cut.side)
-        nontrivial += 1 < len(cut.side) < g.n - 1
-    assert nontrivial > 0
+
+def nested_clusters(rng):
+    """Groups of dense blocks: blocks in a group are joined by 1..4 edges
+    and groups by 1..2, so the classes are blocks, groups or the whole
+    graph depending on k; at most 36 vertices."""
+    g = Multigraph()
+    groups = []
+    for _ in range(rng.randint(2, 3)):
+        blocks = []
+        for _ in range(rng.randint(2, 3)):
+            first = g.n + 1
+            for _ in range(rng.randint(3, 4)):
+                g.add_vertex()
+            block = list(range(first, g.n + 1))
+            for _ in range(rng.randint(1, 2)):
+                for u, v in itertools.combinations(block, 2):
+                    g.add_edge(u, v)
+            blocks.append(block)
+        for a, b in zip(blocks, blocks[1:]):
+            for _ in range(rng.randint(1, 4)):
+                g.add_edge(rng.choice(a), rng.choice(b))
+        groups.append([v for block in blocks for v in block])
+    for a, b in zip(groups, groups[1:]):
+        for _ in range(rng.randint(1, 2)):
+            g.add_edge(rng.choice(a), rng.choice(b))
+    return g
+
+
+def test_nested_planted_clusters_match_oracle():
+    rng = random.Random(0xC1A5)
+    for _ in range(15):
+        g = nested_clusters(rng)
+        for k in (2, 3, 4, 5):
+            assert max_kec_subgraphs(g, k) == maximal_kec_bruteforce(g, k), k
+
+
+def test_necklace_solve_scans_linear_work(monkeypatch, blocks_joined):
+    """A pin on the solver's work, with no timing: on a necklace of 400 K5
+    blocks (n = 2 000, k = 3) the MA phases scan at most 4n super-vertices.
+    Returning the rest of a piece uncontracted once its end blocks fall
+    below k scanned about n^2 / 12."""
+    import eccforge.solver
+
+    n = 2000
+    scanned = []
+    real = eccforge.solver._ma_phase
+
+    def spy(adj, k):
+        scanned.append(len(adj))
+        return real(adj, k)
+
+    monkeypatch.setattr(eccforge.solver, "_ma_phase", spy)
+    part = max_kec_subgraphs(blocks_joined(n // 5, 5, 2), 3)
+    assert part.as_sets() == {
+        frozenset(range(i + 1, i + 6)) for i in range(0, n, 5)
+    }
+    assert sum(scanned) <= 4 * n
 
 
 def test_import_leaves_numpy_unloaded():
