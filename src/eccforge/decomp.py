@@ -33,11 +33,11 @@ proportional to its live tree, the paper's O(n) space.
 Vertices are checked once, where they enter through `insert_edge`,
 `same_max_3ec` or `subgraph_of`: a vertex is an `int` (not a `bool`) in
 1..n. Past that check the engine reads the vertex union-find's `_parent` and
-`_label` lists itself: `_leaf_of` and `same_max_3ec` run the find loop inline,
-with path compression, instead of paying `DsuForest`'s item check and nested
-calls on every lookup. A node's children are a list, and each child keeps its
-index in that list in `_pos`, so a merged-away child leaves in O(1): the last
-child moves into its slot.
+`_label` lists itself: the union-find keeps `_parent[x]` equal to the root of
+x's set, so a leaf lookup is `label[root[v - 1]]` and a same-subgraph query
+compares two list reads, without `DsuForest`'s item check and calls. A node's
+children are a list, and each child keeps its index in that list in `_pos`,
+so a merged-away child leaves in O(1): the last child moves into its slot.
 """
 
 from __future__ import annotations
@@ -119,35 +119,16 @@ class DecompTree:
             raise UnknownVertexError(f"unknown vertex {v}")
 
     def _leaf_of(self, v: int) -> Optional[DecompNode]:
-        """Leaf holding the checked vertex v, None while v is edgeless: the
-        union-find's find, with path compression, run on its lists."""
-        parent = self._dsu._parent
-        x = r = v - 1
-        while parent[r] != r:
-            r = parent[r]
-        while parent[x] != r:
-            parent[x], x = r, parent[x]
-        return self._dsu._label[r]
+        """Leaf holding the checked vertex v, None while v is edgeless."""
+        return self._dsu._label[self._dsu._parent[v - 1]]
 
     def same_max_3ec(self, x: int, y: int) -> bool:
         n = self.n_vertices
         if not (type(x) is int and type(y) is int and 1 <= x <= n and 1 <= y <= n):
             self._check_vertex(x)  # one of the two raises
             self._check_vertex(y)
-        parent = self._dsu._parent
-        x -= 1
-        rx = x
-        while parent[rx] != rx:
-            rx = parent[rx]
-        while parent[x] != rx:
-            parent[x], x = rx, parent[x]
-        y -= 1
-        ry = y
-        while parent[ry] != ry:
-            ry = parent[ry]
-        while parent[y] != ry:
-            parent[y], y = ry, parent[y]
-        return rx == ry
+        root = self._dsu._parent
+        return root[x - 1] == root[y - 1]
 
     def partition(self) -> list[set[int]]:
         classes = [
@@ -172,8 +153,9 @@ class DecompTree:
             self._check_vertex(y)
         if x == y:
             raise SelfLoopError(f"self-loop at vertex {x}")
-        leaf_x = self._leaf_of(x)
-        leaf_y = self._leaf_of(y)
+        root, label = self._dsu._parent, self._dsu._label
+        leaf_x = label[root[x - 1]]
+        leaf_y = label[root[y - 1]]
         if leaf_x is None or leaf_y is None:
             self._attach(x, y)
             return
@@ -186,8 +168,9 @@ class DecompTree:
 
     def _insert(self, x: int, y: int) -> None:
         self.total_insert_calls += 1
-        leaf_x = self._leaf_of(x)
-        leaf_y = self._leaf_of(y)
+        root, label = self._dsu._parent, self._dsu._label
+        leaf_x = label[root[x - 1]]
+        leaf_y = label[root[y - 1]]
         if leaf_x is leaf_y:
             return
         nca, path_x, path_y = self._nca(leaf_x, leaf_y)
@@ -413,7 +396,9 @@ class DecompTree:
     # -- structural audit -------------------------------------------------------
 
     def validate(self) -> None:
-        """Debug audit: levels, handle bijections, the leaf/DSU
+        """Debug audit: levels, handle bijections, the union-find's
+        quick-find invariant (every item points at its set's root, whose
+        member list holds exactly the items pointing at it), the leaf/DSU
         correspondence (every class is a leaf's or an edgeless vertex's
         singleton), and that the cactus forest holds exactly the cycles of
         the live cactuses. Raises DecompError on any violation."""
@@ -448,6 +433,15 @@ class DecompTree:
         if cycles != self._cf.cycles():
             raise DecompError("cactus forest cycles differ from the live cactuses'")
         dsu = self._dsu
+        root = dsu._parent
+        pointing: dict[int, list[int]] = {}
+        for x, r in enumerate(root):
+            if root[r] != r:
+                raise DecompError(f"vertex {x + 1} points at non-root vertex {r + 1}")
+            pointing.setdefault(r, []).append(x)
+        for r, items in pointing.items():
+            if sorted(dsu.members(r)) != items:
+                raise DecompError(f"member list of vertex {r + 1}'s class is broken")
         edgeless = [r for r in dsu.roots() if dsu.label_of(r) is None]
         for r in edgeless:
             if dsu.size_of(r) != 1:

@@ -1,23 +1,28 @@
 """Union-find with caller-designated representative labels.
 
-Internally union-by-size with path compression; the external label stored at
-each root lets callers dictate which object "survives" a union without
-sacrificing balance. Member enumeration uses intrusive circular lists spliced
+A weighted quick-find: `_parent[x]` is always the root of x's set, so
+`root_of` is one list read, O(1). A union links by size and points every
+member of the smaller set at the surviving root, walking that set's
+intrusive circular member list; an item is relabelled only when its set at
+least doubles, so n items are relabelled O(n log n) times in total. The
+external label stored at each root lets callers dictate which object
+"survives" a union without sacrificing balance. The member lists are spliced
 in O(1) per union, so listing a set costs time proportional to its size. A
 union clears the losing root's label, so the lists refer only to the labels
 of live sets.
 
 The public methods check every item they are given. `DecompTree`, which
 checks its vertices once at its own API, reads `_parent` and `_label`
-directly and runs the same find, with the same path compression, inline.
+directly.
 
-The block and cactus forests merge their nodes with the same discipline, but
-on the node objects themselves rather than through a `DsuForest`:
-`_set_root` climbs a node's `_up` pointers (None at a set root) with path
-compression, and `_unite_nodes` links by the set size `_n` and stores the
-caller's label, the merged set's live node, in the root's `_rep`. No table
-lists the nodes, so a merged node is freed once neither its set's links nor
-a stale pointer in its forest reaches it.
+The block and cactus forests merge their nodes with union by size, but on
+the node objects themselves rather than through a `DsuForest`: `_set_root`
+climbs a node's `_up` pointers (None at a set root) with path compression,
+and `_unite_nodes` links by the set size `_n` and stores the caller's label,
+the merged set's live node, in the root's `_rep`. No table lists the nodes,
+so a merged node is freed once neither its set's links nor a stale pointer
+in its forest reaches it. That is why they do not relabel: member lists of
+merged nodes would keep dead nodes alive.
 """
 
 from __future__ import annotations
@@ -67,13 +72,7 @@ class DsuForest:
 
     def root_of(self, x: int) -> int:
         self._check(x)
-        parent = self._parent
-        r = x
-        while parent[r] != r:
-            r = parent[r]
-        while parent[x] != r:  # path compression
-            parent[x], x = r, parent[x]
-        return r
+        return self._parent[x]
 
     def label_of(self, x: int) -> Any:
         return self._label[self.root_of(x)]
@@ -88,11 +87,16 @@ class DsuForest:
             return
         if self._size[ra] < self._size[rb]:
             ra, rb = rb, ra
-        self._parent[rb] = ra
+        parent, nxt = self._parent, self._next
+        parent[rb] = ra
+        x = nxt[rb]
+        while x != rb:  # relabel the smaller set
+            parent[x] = ra
+            x = nxt[x]
         self._size[ra] += self._size[rb]
         self._label[ra] = rep_label
         self._label[rb] = None
-        self._next[ra], self._next[rb] = self._next[rb], self._next[ra]
+        nxt[ra], nxt[rb] = nxt[rb], nxt[ra]
         self.num_sets -= 1
 
     def size_of(self, x: int) -> int:

@@ -8,7 +8,6 @@ the contraction-based static solver.
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 from .graph import Multigraph, UnknownVertexError
@@ -100,21 +99,6 @@ def edge_connectivity(g: Multigraph, u: int, v: int) -> int:
         raise ValueError("edge_connectivity needs two distinct vertices")
     net = _FlowNet(list(g.vertex_ids()), _edge_items(g))
     return net.max_flow(u, v)
-
-
-def lambda_table(g: Multigraph) -> dict[tuple[int, int], float]:
-    """All-pairs edge connectivity; the diagonal is +inf by convention."""
-    table: dict[tuple[int, int], float] = {}
-    verts = list(g.vertex_ids())
-    net = _FlowNet(verts, _edge_items(g))
-    for i, u in enumerate(verts):
-        table[(u, u)] = math.inf
-        for v in verts[i + 1 :]:
-            net.reset()
-            lam = net.max_flow(u, v)
-            table[(u, v)] = lam
-            table[(v, u)] = lam
-    return table
 
 
 def kecc_partition(g: Multigraph, k: int) -> Partition:

@@ -60,11 +60,6 @@ class Partition:
     def __repr__(self) -> str:
         return f"Partition({[sorted(c) for c in self.classes]})"
 
-    def refines(self, coarser: "Partition") -> bool:
-        return all(
-            len({coarser.class_of[v] for v in c}) == 1 for c in self.classes
-        )
-
 
 def _adjacency(g: Multigraph) -> dict[int, dict[int, int]]:
     """g as vertex -> {neighbour: multiplicity}, every vertex a key."""

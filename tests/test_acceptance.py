@@ -33,6 +33,7 @@ from eccforge.gen import (
     replay,
 )
 from eccforge.oracle import kecc_partition
+from helpers import refines
 from shadows import (
     ShadowCactus,
     ShadowForest,
@@ -198,8 +199,8 @@ def test_criterion_5_static_solver(certificate_instances):
             assert plain == want and certified == want
             parts[k] = plain
             checked += 1
-        assert parts[5].refines(parts[4])
-        assert parts[4].refines(parts[3])
+        assert refines(parts[5], parts[4])
+        assert refines(parts[4], parts[3])
     _announce(
         "5 static-solver",
         f"oracle agreement with and without certificate on {checked} "

@@ -528,6 +528,20 @@ def _label_edgeless_with_a_2ecc(tree, by_level):
     tree._dsu.set_label(v - 1, by_level[2][0])
 
 
+def _point_at_a_non_root(tree, by_level):
+    # a K4 on four new vertices is one class; a member that is neither its
+    # root nor its leaf's item is pointed at another non-root member
+    vs = [tree.insert_vertex() for _ in range(4)]
+    for a, b in itertools.combinations(vs, 2):
+        tree.insert_edge(a, b)
+    tree.validate()
+    parent = tree._dsu._parent
+    root = parent[vs[0] - 1]
+    leaf_item = tree._dsu._label[root].dsu_item
+    x, y = [v - 1 for v in vs if v - 1 not in (root, leaf_item)][:2]
+    parent[x] = y
+
+
 def _leak_a_cycle(tree, by_level):
     cf = tree._cf
     cf.join_cactuses([cf.new_node(None), cf.new_node(None)], [None, None])
@@ -551,6 +565,7 @@ def _forget_live_cycles(tree, by_level):
         _unite_two_edgeless,
         _unlabel_a_leaf,
         _label_edgeless_with_a_2ecc,
+        _point_at_a_non_root,
         _leak_a_cycle,
         _forget_live_cycles,
     ],

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -126,3 +127,45 @@ def test_members_cover_everything():
         seen.extend(d.members(r))
     assert sorted(seen) == sorted(items)
     assert len(d.roots()) == d.num_sets
+
+
+class _CountingList(list):
+    """A list that counts item assignments, so a test can count relabels."""
+
+    writes = 0
+
+    def __setitem__(self, i, value):
+        self.writes += 1
+        super().__setitem__(i, value)
+
+
+def test_relabels_stay_within_n_log_n():
+    # each union relabels only the smaller set, so an item moves at most
+    # log2 n times; a forest that relabelled b's set every time would do
+    # n(n-1)/2 writes on this chain, where b is always the grown set
+    n = 1024
+    d = DsuForest()
+    d._parent = _CountingList()
+    items = [d.make_set(i) for i in range(n)]
+    for x in items[1:]:
+        d.unite(x, items[0], None)
+    assert d.num_sets == 1 and d.size_of(items[0]) == n
+    assert d._parent.writes <= n * math.log2(n)
+
+
+def test_every_item_points_at_its_root():
+    rng = random.Random(23)
+    d = DsuForest()
+    items = [d.make_set(i) for i in range(200)]
+    tags = list(range(200))  # naive per-item set tags
+    for _ in range(150):
+        a, b = rng.choice(items), rng.choice(items)
+        d.unite(a, b, None)
+        ta, tb = tags[a], tags[b]
+        if ta != tb:
+            tags = [ta if t == tb else t for t in tags]
+    parent = d._parent
+    for x in items:
+        assert parent[parent[x]] == parent[x]
+        for y in items:
+            assert (parent[x] == parent[y]) == (tags[x] == tags[y])
