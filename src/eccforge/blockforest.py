@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from .climb import meet_paths
-from .dsu import _set_root, _unite_nodes
+from .dsu import _release, _set_root, _unite_nodes
 
 
 class BlockTreeError(Exception):
@@ -135,6 +135,13 @@ class BlockForest:
             rx.size += ry.size
 
     # -- internals -------------------------------------------------------
+
+    def _drop(self, node: BlockTreeNode) -> None:
+        """Let go of `node`, whose tree the caller has discarded: it loses its
+        handle and its set root stops pointing back at it, so reference
+        counting frees the merged set."""
+        node.handle = None
+        _release(node)
 
     def _reroot(self, path: list[BlockTreeNode]) -> None:
         # path[0] becomes the root; each node on the way hands its edge

@@ -18,10 +18,13 @@ references must be resolved to their set's live node, `_set_root(x)._rep`
 own: its parent is the live node of its parent entry's real node,
 `representative(cyc.parent_entry.real)`, so no merge leaves a stale cycle
 parent behind, and a merged node drops its own parent and entry links.
-Cycle nodes never merge. A cycle leaves `cycles()` when its list dissolves or
-when the decomposition tree discards its cactus (`_retire_cycle_above`), so
-the forest refers only to live cycles; the origin of each cycle keeps that
-join's walk budget, and `walk_touches` counts every walk step forest-wide.
+Cycle nodes never merge. A cycle leaves `cycles()` when its 2-entry list
+dissolves in `_squeeze` or when the decomposition tree drops its cactus
+(`_drop` on a member), so the forest refers only to live cycles. Either way
+`_retire` cuts the ring once, clearing every entry's neighbour and real-node
+links, so reference counting frees the cycle as soon as nothing else holds
+it. The origin of each cycle keeps that join's walk budget, and
+`walk_touches` counts every walk step forest-wide.
 
 compress_cycle_path merges through one squeeze per cycle on the path,
 `_squeeze(u, v, ve, cyc)`: a child member u of cyc merges into v, whose entry
@@ -38,7 +41,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from .climb import meet_paths
-from .dsu import _set_root, _unite_nodes
+from .dsu import _release, _set_root, _unite_nodes
 
 
 class CactusError(Exception):
@@ -228,11 +231,25 @@ class CactusForest:
         _unite_nodes(dead, live, live)
         dead.parent = dead.entry = None
 
-    def _retire_cycle_above(self, node: RealNode) -> None:
-        """Forget the cycle that `node` hangs from, if any: the caller has
-        discarded the cactus that holds it."""
-        if node.parent is not None:
-            self._cycles.discard(node.parent)
+    def _drop(self, node: RealNode) -> None:
+        """Let go of `node`, whose cactus the caller has discarded: it loses
+        its handle, its set root stops pointing back at it if it is the set's
+        live node, and the cycle it hangs from retires. Reference counting
+        then frees both."""
+        node.handle = None
+        _release(node)
+        if node.parent in self._cycles:
+            self._retire(node.parent)
+
+    def _retire(self, cyc: CycleNode) -> None:
+        """Forget cyc and cut its ring: every entry lets go of its
+        neighbours and its real node, so no entry keeps another alive."""
+        self._cycles.remove(cyc)
+        e = cyc.parent_entry
+        while e is not None:
+            nxt = e.right
+            e.left = e.right = e.real = None
+            e = nxt
 
     def _squeeze(self, u: RealNode, v: RealNode, ve: ListEntry, cyc: CycleNode) -> list[Any]:
         """Merge child member u of cyc into v, whose entry on cyc is ve.
@@ -244,7 +261,7 @@ class CactusForest:
         if ue.left is ve and ue.right is ve:
             # u was the only other member; the 2-entry list dissolves
             out = [ve.right_edge, ue.right_edge]
-            self._cycles.discard(cyc)
+            self._retire(cyc)
         elif ue.left is ve:
             out = [ve.right_edge]
             ue.right.left = ve

@@ -27,7 +27,10 @@ a deeper level, so no call stack grows with the depth of the tree.
 
 A node that leaves the tree, merged into a sibling or dropped with a
 condensed subtree, lets go of its children and its forest node lets go of
-it; a dropped cactus also retires its cycles. What the engine holds is then
+it. A node dropped with a subtree also has its forest drop its forest node:
+the set root's `_rep` lets go of it, and a dropped cactus retires its cycles
+and cuts their rings. No reference cycle then holds dropped structure, so
+reference counting frees it at the drop, and what the engine holds is
 proportional to its live tree, the paper's O(n) space.
 
 Vertices are checked once, where they enter through `insert_edge`,
@@ -336,7 +339,7 @@ class DecompTree:
             self._unite_leaves(leaves, grand)
             grand.children = []
         else:
-            leaves = self._collect_leaves(nca)
+            leaves = self._collect_leaves(nca, keep=z_real)
             nca.children = []
             d = self._new_node(nca)
             self._unite_leaves(leaves, d)
@@ -344,19 +347,20 @@ class DecompTree:
             z_real.handle = d
             d.cx_node = z_real
 
-    def _collect_leaves(self, top: DecompNode) -> list[DecompNode]:
+    def _collect_leaves(self, top: DecompNode, keep=None) -> list[DecompNode]:
         """Leaves below `top`, whose subtree the caller drops: the walk
-        unbinds every dropped node from its forest node, empties the internal
-        ones and retires the cycles of every cactus in the subtree."""
+        empties the internal ones and has the forests drop the forest node of
+        every dropped node but `keep`, which the caller rebinds, so the
+        dropped block trees and cactuses, cycles included, are freed as soon
+        as the walk lets go of them."""
         out = []
         stack = list(top.children)
         while stack:
             nd = stack.pop()
             if nd.bt_node is not None:
-                nd.bt_node.handle = None
-            elif nd.cx_node is not None:
-                nd.cx_node.handle = None
-                self._cf._retire_cycle_above(nd.cx_node)
+                self._bf._drop(nd.bt_node)
+            elif nd.cx_node is not None and nd.cx_node is not keep:
+                self._cf._drop(nd.cx_node)
             if nd.dsu_item is not None:
                 out.append(nd)
             else:

@@ -22,7 +22,12 @@ and `_unite_nodes` links by the set size `_n` and stores the caller's label,
 the merged set's live node, in the root's `_rep`. No table lists the nodes,
 so a merged node is freed once neither its set's links nor a stale pointer
 in its forest reaches it. That is why they do not relabel: member lists of
-merged nodes would keep dead nodes alive.
+merged nodes would keep dead nodes alive. The root's `_rep` points back into
+the set (at the root itself while the set has one node), a reference cycle,
+so a forest that drops a set's live node clears that `_rep`
+(`_release`, called by `BlockForest._drop` and `CactusForest._drop`);
+reference counting then frees the whole set at once, without the cyclic
+collector.
 """
 
 from __future__ import annotations
@@ -137,3 +142,11 @@ def _unite_nodes(a: Any, b: Any, label: Any) -> None:
         rb._rep = None
         ra._n += rb._n
     ra._rep = label
+
+
+def _release(node: Any) -> None:
+    """The forest drops `node`: if it is its set's live node, the set root's
+    `_rep` stops pointing back at it."""
+    root = _set_root(node)
+    if root._rep is node:
+        root._rep = None

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from collections import Counter
@@ -133,6 +134,22 @@ def test_squeeze_two_cycle_dissolves():
     assert sorted(payloads) == ["p", "q"]
     assert not cf.cycles()
     assert cf.representative(child) is cf.representative(parent)
+
+
+def test_dissolved_two_cycle_leaves_no_cyclic_garbage():
+    # the dissolved list's ring is cut, so reference counting frees it and,
+    # with the forest still alive, the collector finds nothing
+    gc.collect()
+    gc.disable()
+    try:
+        cf = CactusForest()
+        a, b = cf.new_node("a"), cf.new_node("b")
+        cf.join_cactuses([a, b], ["p", "q"])
+        _, _, z = cf.compress_cycle_path(a, b)
+    finally:
+        gc.enable()
+    assert gc.collect() == 0
+    assert not cf.cycles() and cf.representative(a) is z
 
 
 def test_squeeze_four_cycle_adjacent_and_opposite():

@@ -162,9 +162,9 @@ def test_bool_is_not_a_vertex():
     tree.validate()
 
 
-def test_inlined_find_agrees_with_checked_find():
-    # same_max_3ec runs its finds on the union-find's lists; after every
-    # insert its answers match the checked DsuForest.root_of path
+def test_root_reads_agree_with_checked_root_of():
+    # same_max_3ec compares two reads of the union-find's root list; after
+    # every insert its answers match the checked DsuForest.root_of path
     rng = random.Random(21)
     g = planted_clusters(rng, 60, 12, 30, 200)
     edges = [g.endpoints(e) for e in g.edge_ids()]
@@ -393,23 +393,52 @@ def test_tree_size_stays_linear():
         assert count_nodes(tree) <= 6 * tree.n_vertices + 1
 
 
-def test_work_counters_pinned_on_a_seeded_stream():
-    # 2 000 shuffled inserts of 60 planted 12-vertex clusters; the values
-    # are the engine's recorded work on this stream, so a forest change that
-    # alters the work (not only the answers) fails here
+def _seeded_clusters():
+    """(n, edges): 2 000 shuffled inserts of 60 planted 12-vertex clusters."""
     rng = random.Random(14)
     g = planted_clusters(rng, 60, 12, 30, 200)
     edges = [g.endpoints(e) for e in g.edge_ids()]
     rng.shuffle(edges)
+    return g.n, edges
+
+
+def _insert_all(n, edges):
     tree = DecompTree()
-    for _ in range(g.n):
+    for _ in range(n):
         tree.insert_vertex()
     for u, v in edges:
         tree.insert_edge(u, v)
+    return tree
+
+
+def test_work_counters_pinned_on_a_seeded_stream():
+    # the values are the engine's recorded work on this stream, so a forest
+    # change that alters the work (not only the answers) fails here
+    n, edges = _seeded_clusters()
+    tree = _insert_all(n, edges)
     assert len(edges) == 2000
     assert (tree.total_insert_calls, tree.affecting_insertions) == (12548, 1611)
     assert (tree._bf.reroot_touches, tree._cf.reroot_touches) == (6162, 6176)
     assert tree._cf.walk_touches == 403
+
+
+@pytest.mark.parametrize(
+    "n, edges",
+    [_seeded_clusters(), (128, staircase_sequence(128))],
+    ids=["planted-2000", "staircase-128"],
+)
+def test_dropped_structure_leaves_no_cyclic_garbage(n, edges):
+    # every block tree, cactus and cycle the tree drops is freed by
+    # reference counting as it is dropped, so with the collector off while
+    # inserting it finds nothing of the engine's afterwards
+    gc.collect()
+    gc.disable()
+    try:
+        tree = _insert_all(n, edges)
+    finally:
+        gc.enable()
+    assert gc.collect() == 0
+    tree.validate()
 
 
 ENGINE_TYPES = (DecompNode, BlockTreeNode, RealNode, ListEntry, CycleNode)
