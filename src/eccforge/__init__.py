@@ -1,13 +1,11 @@
 """Maximal k-edge-connected subgraphs: incremental, static, and fully dynamic."""
 
 from .graph import Multigraph, parse_graph, parse_stream, serialize_graph
-from .dsu import DsuForest
 from .blockforest import BlockForest
 from .cactusforest import CactusForest
 from .decomp import DecompTree
 from .certificates import (
     CertificateReport,
-    ForestDecomposition,
     forest_decomposition,
     interconnection_superset,
     k_certificate,
@@ -21,8 +19,6 @@ __all__ = [
     "CactusForest",
     "CertificateReport",
     "DecompTree",
-    "DsuForest",
-    "ForestDecomposition",
     "Multigraph",
     "Partition",
     "SparsTree",

@@ -63,10 +63,9 @@ class DuplicateCactusError(CactusError):
 class OriginCycle:
     """Accounting record for one cycle introduced by join_cactuses."""
 
-    __slots__ = ("size", "walk_touches")
+    __slots__ = ("walk_touches",)
 
-    def __init__(self, size: int):
-        self.size = size
+    def __init__(self) -> None:
         self.walk_touches = 0
 
 
@@ -203,7 +202,7 @@ class CactusForest:
             if i != big:
                 self._reroot(paths[i])
 
-        cyc = CycleNode(OriginCycle(k))
+        cyc = CycleNode(OriginCycle())
         entries = [ListEntry(r) for r in lives]
         for i in range(k):
             e, nxt = entries[i], entries[(i + 1) % k]

@@ -19,23 +19,14 @@ from .graph import Multigraph
 
 
 @dataclass
-class ForestDecomposition:
-    forests: list[set[int]]  # F_1..F_t as edge-id sets, later ones may be empty
-    graph: Multigraph  # the decomposed source graph
-    t: int
-
-
-@dataclass
 class CertificateReport:
     certificate: Multigraph
     eprime: set[int]  # superset of the k-interconnection edges
-    forests_used: int
-    sizes: tuple[int, int]  # (|E'|, certificate edge count)
 
 
-def forest_decomposition(g: Multigraph, t: int) -> ForestDecomposition:
-    """The first t forests of one scan-first search: F_i spans g minus
-    F_1..F_{i-1}.
+def forest_decomposition(g: Multigraph, t: int) -> list[set[int]]:
+    """The first t forests of one scan-first search, as edge-id sets (later
+    ones may be empty): F_i spans g minus F_1..F_{i-1}.
 
     The search scans, next, the unscanned vertex with the most edges to
     scanned ones, the smaller id on ties, so the output is deterministic.
@@ -62,7 +53,7 @@ def forest_decomposition(g: Multigraph, t: int) -> ForestDecomposition:
             if count[y] <= t:
                 forests[count[y] - 1].add(eid)
             heapq.heappush(heap, (-count[y], y))
-    return ForestDecomposition(forests, g, t)
+    return forests
 
 
 def superset_forest_count(n: int, k: int) -> int:
@@ -77,8 +68,7 @@ def interconnection_superset(g: Multigraph, k: int) -> set[int]:
     the union of the first ceil(4*k*log2(n)) forests of a decomposition."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    fd = forest_decomposition(g, superset_forest_count(g.n, k))
-    return set().union(*fd.forests)
+    return set().union(*forest_decomposition(g, superset_forest_count(g.n, k)))
 
 
 def k_certificate(g: Multigraph, k: int) -> CertificateReport:
@@ -92,12 +82,7 @@ def k_certificate(g: Multigraph, k: int) -> CertificateReport:
     if k < 3:
         raise ValueError("k must be >= 3")
     t = superset_forest_count(g.n, k)
-    forests = forest_decomposition(g, t + k).forests
+    forests = forest_decomposition(g, t + k)
     eprime = set().union(*forests[:t])
     cert = g.subgraph_with_edges(set().union(*forests))
-    return CertificateReport(
-        certificate=cert,
-        eprime=eprime,
-        forests_used=t,
-        sizes=(len(eprime), cert.m),
-    )
+    return CertificateReport(certificate=cert, eprime=eprime)

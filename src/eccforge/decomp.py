@@ -4,14 +4,14 @@ The engine keeps a decomposition tree whose levels cycle through connected
 components, 2-edge-connected components, and 3-edge-connected components, so
 a node's kind is its depth mod 3: 0 for the root or a 3-ecc, 1 for a 1-ecc,
 2 for a 2-ecc. Leaves are exactly the maximal 3-edge-connected subgraphs of
-the inserted graph, and a node is a leaf exactly when it holds an item of the
-vertex union-find, which is labelled by leaves and answers same-subgraph
-queries. Non-leaf component nodes carry a block tree of their 2-eccs, and
-non-leaf 2-ecc nodes carry a cactus of their 3-eccs.
+the inserted graph, and a node is a leaf exactly when it holds a vertex of
+its class in `dsu_item`. The vertex classes form a union-find labelled by the
+leaves, which answers same-subgraph queries. Non-leaf component nodes carry
+a block tree of their 2-eccs, and non-leaf 2-ecc nodes carry a cactus of
+their 3-eccs.
 
-A vertex with no edge yet is only a union-find slot labelled None, a
-singleton class with no tree node and no forest node, so `insert_vertex` is
-O(1). Its first edge takes the `_attach` path instead of the general
+A vertex with no edge yet is only a singleton class with no leaf, no tree
+node and no forest node, so `insert_vertex` is O(1). Its first edge takes the `_attach` path instead of the general
 insertion: such an edge always bridges two components, so `_attach` builds
 the edgeless end's 2-ecc/3-ecc pair under the other end's 1-ecc (both ends'
 pairs under one fresh 1-ecc when both are edgeless) and links the two block
@@ -35,12 +35,17 @@ proportional to its live tree, the paper's O(n) space.
 
 Vertices are checked once, where they enter through `insert_edge`,
 `same_max_3ec` or `subgraph_of`: a vertex is an `int` (not a `bool`) in
-1..n. Past that check the engine reads the vertex union-find's `_parent` and
-`_label` lists itself: the union-find keeps `_parent[x]` equal to the root of
-x's set, so a leaf lookup is `label[root[v - 1]]` and a same-subgraph query
-compares two list reads, without `DsuForest`'s item check and calls. A node's
-children are a list, and each child keeps its index in that list in `_pos`,
-so a merged-away child leaves in O(1): the last child moves into its slot.
+1..n. The union-find is a weighted quick-find over four lists indexed by
+vertex - 1: `_root[x]` is always the root of x's class, so a leaf lookup is
+`_leaf[_root[v - 1]]` and a same-subgraph query compares two list reads. A
+merge links by the class size `_size` and points every member of the smaller
+class at the surviving root, walking that class's circular member list
+`_next`; a vertex is relabelled only when its class at least doubles, so n
+vertices are relabelled O(n log n) times in total. The merge names the
+class's new leaf at the root and clears the loser's, so `_leaf` refers only
+to live leaves. A node's children are a list, and each child keeps its index
+in that list in `_pos`, so a merged-away child leaves in O(1): the last child
+moves into its slot.
 """
 
 from __future__ import annotations
@@ -51,7 +56,6 @@ from typing import Optional
 from .blockforest import BlockForest
 from .cactusforest import CactusForest
 from .climb import meet_paths
-from .dsu import DsuForest
 from .graph import SelfLoopError, UnknownVertexError
 
 _parent = attrgetter("parent")
@@ -84,7 +88,12 @@ class DecompNode:
 class DecompTree:
     def __init__(self) -> None:
         self.root = DecompNode(None)
-        self._dsu = DsuForest()
+        # the vertex classes, indexed by vertex - 1 (module docstring)
+        self._root: list[int] = []  # the root of each vertex's class
+        self._leaf: list[Optional[DecompNode]] = []  # at a root: its class's leaf
+        self._size: list[int] = []  # at a root: its class's size
+        self._next: list[int] = []  # circular member list of each class
+        self._classes = 0
         self._bf = BlockForest()
         self._cf = CactusForest()
         self.n_vertices = 0
@@ -101,9 +110,14 @@ class DecompTree:
     # -- vertex / query surface ------------------------------------------
 
     def insert_vertex(self) -> int:
-        # an edgeless vertex is one union-find slot labelled None; its tree
+        # an edgeless vertex is a singleton class with no leaf; its tree
         # nodes wait for its first edge (`_attach`)
-        self._dsu.make_set(None)
+        x = self.n_vertices
+        self._root.append(x)
+        self._leaf.append(None)
+        self._size.append(1)
+        self._next.append(x)
+        self._classes += 1
         self.n_vertices += 1
         return self.n_vertices
 
@@ -123,29 +137,36 @@ class DecompTree:
 
     def _leaf_of(self, v: int) -> Optional[DecompNode]:
         """Leaf holding the checked vertex v, None while v is edgeless."""
-        return self._dsu._label[self._dsu._parent[v - 1]]
+        return self._leaf[self._root[v - 1]]
 
     def same_max_3ec(self, x: int, y: int) -> bool:
         n = self.n_vertices
         if not (type(x) is int and type(y) is int and 1 <= x <= n and 1 <= y <= n):
             self._check_vertex(x)  # one of the two raises
             self._check_vertex(y)
-        root = self._dsu._parent
+        root = self._root
         return root[x - 1] == root[y - 1]
 
     def partition(self) -> list[set[int]]:
-        classes = [
-            {i + 1 for i in self._dsu.members(r)} for r in self._dsu.roots()
-        ]
-        return sorted(classes, key=min)
+        roots = [r for r, rr in enumerate(self._root) if rr == r]
+        return sorted((set(self._members(r)) for r in roots), key=min)
 
     def subgraph_of(self, x: int) -> set[int]:
         self._check_vertex(x)
-        root = self._dsu.root_of(x - 1)
-        return {i + 1 for i in self._dsu.members(root)}
+        return set(self._members(self._root[x - 1]))
 
     def count(self) -> int:
-        return self._dsu.num_sets
+        return self._classes
+
+    def _members(self, r: int) -> list[int]:
+        """The vertices of the class rooted at index r, along its member list."""
+        nxt = self._next
+        out = [r + 1]
+        x = nxt[r]
+        while x != r:
+            out.append(x + 1)
+            x = nxt[x]
+        return out
 
     # -- edge insertion -----------------------------------------------------
 
@@ -156,9 +177,9 @@ class DecompTree:
             self._check_vertex(y)
         if x == y:
             raise SelfLoopError(f"self-loop at vertex {x}")
-        root, label = self._dsu._parent, self._dsu._label
-        leaf_x = label[root[x - 1]]
-        leaf_y = label[root[y - 1]]
+        root, leaf = self._root, self._leaf
+        leaf_x = leaf[root[x - 1]]
+        leaf_y = leaf[root[y - 1]]
         if leaf_x is None or leaf_y is None:
             self._attach(x, y)
             return
@@ -171,9 +192,9 @@ class DecompTree:
 
     def _insert(self, x: int, y: int) -> None:
         self.total_insert_calls += 1
-        root, label = self._dsu._parent, self._dsu._label
-        leaf_x = label[root[x - 1]]
-        leaf_y = label[root[y - 1]]
+        root, leaf = self._root, self._leaf
+        leaf_x = leaf[root[x - 1]]
+        leaf_y = leaf[root[y - 1]]
         if leaf_x is leaf_y:
             return
         nca, path_x, path_y = self._nca(leaf_x, leaf_y)
@@ -220,11 +241,10 @@ class DecompTree:
             ends.append(node)
         if c1 is None:
             c1 = self._new_node(self.root)
-        label = self._dsu._label
         for i, v in enumerate((x, y)):
             if ends[i] is None:
-                # an edgeless vertex is its own union-find root
-                leaf = label[v - 1] = self._new_pair(c1, v - 1)
+                # an edgeless vertex is its own class's root
+                leaf = self._leaf[v - 1] = self._new_pair(c1, v - 1)
                 ends[i] = leaf.parent
         self._bf.join_trees(ends[0].bt_node, ends[1].bt_node, (x, y))
 
@@ -297,7 +317,7 @@ class DecompTree:
     def _expand_leaf(self, d: DecompNode) -> None:
         item = d.dsu_item
         d.dsu_item = None
-        self._dsu.set_label(item, self._new_pair(self._new_node(d), item))
+        self._leaf[self._root[item]] = self._new_pair(self._new_node(d), item)
 
     def _merge_siblings(self, nodes: list[DecompNode]) -> DecompNode:
         """Redirect children of the smaller nodes into the one with the most
@@ -369,13 +389,27 @@ class DecompTree:
         return out
 
     def _unite_leaves(self, leaves: list[DecompNode], new_leaf: DecompNode) -> None:
-        base = leaves[0].dsu_item
-        for lf in leaves[1:]:
-            self._dsu.unite(base, lf.dsu_item, None)
+        """Merge the classes of `leaves` into one whose leaf is `new_leaf`."""
+        root, leaf, size, nxt = self._root, self._leaf, self._size, self._next
+        ra = root[leaves[0].dsu_item]
+        for lf in leaves:
+            rb = root[lf.dsu_item]
             lf.dsu_item = None
-        leaves[0].dsu_item = None
-        self._dsu.set_label(base, new_leaf)
-        new_leaf.dsu_item = base
+            if rb == ra:
+                continue
+            if size[ra] < size[rb]:
+                ra, rb = rb, ra
+            root[rb] = ra
+            x = nxt[rb]
+            while x != rb:  # relabel the smaller class
+                root[x] = ra
+                x = nxt[x]
+            size[ra] += size[rb]
+            leaf[rb] = None
+            nxt[ra], nxt[rb] = nxt[rb], nxt[ra]
+            self._classes -= 1
+        leaf[ra] = new_leaf
+        new_leaf.dsu_item = ra
 
     # -- tree navigation ------------------------------------------------------
 
@@ -400,12 +434,14 @@ class DecompTree:
     # -- structural audit -------------------------------------------------------
 
     def validate(self) -> None:
-        """Debug audit: levels, handle bijections, the union-find's
-        quick-find invariant (every item points at its set's root, whose
-        member list holds exactly the items pointing at it), the leaf/DSU
+        """Debug audit: levels, handle bijections, the class lists'
+        quick-find invariant (every vertex points at its class's root, whose
+        member list holds exactly the vertices pointing at it and whose
+        `_size` counts them; `_classes` counts the roots), the leaf/class
         correspondence (every class is a leaf's or an edgeless vertex's
-        singleton), and that the cactus forest holds exactly the cycles of
-        the live cactuses. Raises DecompError on any violation."""
+        singleton, and only roots keep a leaf), and that the cactus forest
+        holds exactly the cycles of the live cactuses. Raises DecompError on
+        any violation."""
         leaves = []
         cycles = set()
         stack = [self.root]
@@ -436,27 +472,38 @@ class DecompTree:
         cycles.discard(None)
         if cycles != self._cf.cycles():
             raise DecompError("cactus forest cycles differ from the live cactuses'")
-        dsu = self._dsu
-        root = dsu._parent
+        root, leaf, size, nxt = self._root, self._leaf, self._size, self._next
+        n = self.n_vertices
+        if not len(root) == len(leaf) == len(size) == len(nxt) == n:
+            raise DecompError("class lists disagree with the vertex count")
+        if sorted(nxt) != list(range(n)):
+            raise DecompError("member lists are not disjoint rings")
         pointing: dict[int, list[int]] = {}
         for x, r in enumerate(root):
             if root[r] != r:
                 raise DecompError(f"vertex {x + 1} points at non-root vertex {r + 1}")
-            pointing.setdefault(r, []).append(x)
-        for r, items in pointing.items():
-            if sorted(dsu.members(r)) != items:
+            if r != x and leaf[x] is not None:
+                raise DecompError(f"non-root vertex {x + 1} keeps a leaf")
+            pointing.setdefault(r, []).append(x + 1)
+        if len(pointing) != self._classes:
+            raise DecompError("class count disagrees with the class roots")
+        edgeless = 0
+        for r, members in pointing.items():
+            if sorted(self._members(r)) != members:
                 raise DecompError(f"member list of vertex {r + 1}'s class is broken")
-        edgeless = [r for r in dsu.roots() if dsu.label_of(r) is None]
-        for r in edgeless:
-            if dsu.size_of(r) != 1:
-                raise DecompError(f"edgeless class of vertex {r + 1} is not a singleton")
+            if size[r] != len(members):
+                raise DecompError(f"size of vertex {r + 1}'s class is wrong")
+            if leaf[r] is None:
+                if len(members) != 1:
+                    raise DecompError(f"edgeless class of vertex {r + 1} is not a singleton")
+                edgeless += 1
         for lf in leaves:
-            label = dsu.label_of(lf.dsu_item)
+            label = leaf[root[lf.dsu_item]]
             if label is None:
                 raise DecompError(f"leaf {lf} holds an edgeless vertex")
             if label is not lf:
                 raise DecompError(f"class label broken at leaf {lf}")
-        if len(leaves) + len(edgeless) != dsu.num_sets:
+        if len(leaves) + edgeless != len(pointing):
             raise DecompError("leaf and edgeless counts disagree with class count")
 
     def _check_binding(self, node: DecompNode, forest, attr: str) -> None:

@@ -11,7 +11,6 @@ from eccforge import (
     maximal_kec_bruteforce,
 )
 from eccforge.certificates import superset_forest_count
-from eccforge.dsu import DsuForest
 from eccforge.gen import planted_clusters, random_multigraph
 
 
@@ -24,29 +23,30 @@ def triangle():
     return g
 
 
-def check_decomposition(g, fd):
+def check_decomposition(g, forests):
     remaining = set(g.edge_ids())
-    for forest in fd.forests:
+    for forest in forests:
         assert forest <= remaining
-        # acyclic: union-find never joins two already-joined endpoints
-        uf = DsuForest()
-        item = {v: uf.make_set(v) for v in g.vertex_ids()}
+        # acyclic: no forest edge joins two vertices already in one component
+        comp = {v: {v} for v in g.vertex_ids()}
         for eid in forest:
             a, b = g.endpoints(eid)
-            assert uf.root_of(item[a]) != uf.root_of(item[b])
-            uf.unite(item[a], item[b], None)
+            assert comp[a] is not comp[b]
+            merged = comp[a] | comp[b]
+            for v in merged:
+                comp[v] = merged
         # spanning: any remaining edge would close a cycle in the forest
         for eid in remaining - forest:
             a, b = g.endpoints(eid)
-            assert uf.root_of(item[a]) == uf.root_of(item[b])
+            assert comp[a] is comp[b]
         remaining -= forest
 
 
 def test_triangle_two_forests():
-    fd = forest_decomposition(triangle(), 2)
-    assert len(fd.forests[0]) == 2
-    assert len(fd.forests[1]) == 1
-    check_decomposition(triangle(), fd)
+    forests = forest_decomposition(triangle(), 2)
+    assert len(forests[0]) == 2
+    assert len(forests[1]) == 1
+    check_decomposition(triangle(), forests)
 
 
 def test_k4_three_forests_disjoint_cover():
@@ -56,13 +56,13 @@ def test_k4_three_forests_disjoint_cover():
     for u in range(1, 5):
         for v in range(u + 1, 5):
             g.add_edge(u, v)
-    fd = forest_decomposition(g, 3)
+    forests = forest_decomposition(g, 3)
     union = set()
-    for f in fd.forests:
+    for f in forests:
         assert not (union & f)
         union |= f
     assert union == set(g.edge_ids())
-    check_decomposition(g, fd)
+    check_decomposition(g, forests)
 
 
 def test_forest_input_single_pass():
@@ -71,8 +71,8 @@ def test_forest_input_single_pass():
         g.add_vertex()
     g.add_edge(1, 2)
     g.add_edge(3, 4)
-    fd = forest_decomposition(g, 1)
-    assert fd.forests[0] == set(g.edge_ids())
+    forests = forest_decomposition(g, 1)
+    assert forests[0] == set(g.edge_ids())
 
 
 def test_superset_saturation_small_graph():
@@ -108,7 +108,7 @@ def test_superset_oracle_interconnection_edges():
 def test_certificate_triangle_saturated():
     rep = k_certificate(triangle(), 3)
     assert sorted(rep.certificate.edge_ids()) == sorted(triangle().edge_ids())
-    assert rep.sizes == (3, 3)
+    assert (len(rep.eprime), rep.certificate.m) == (3, 3)
 
 
 def test_certificate_rejects_small_k():
@@ -161,18 +161,18 @@ def test_multigraph_decompositions():
         g.add_vertex()
     for _ in range(5):
         g.add_edge(1, 2)
-    fd = forest_decomposition(g, 7)
-    assert [len(f) for f in fd.forests] == [1, 1, 1, 1, 1, 0, 0]
-    check_decomposition(g, fd)
+    forests = forest_decomposition(g, 7)
+    assert [len(f) for f in forests] == [1, 1, 1, 1, 1, 0, 0]
+    check_decomposition(g, forests)
     rng = random.Random(515)
     for trial in range(60):
         n = rng.randint(2, 12)
         make = random_multigraph_with_removals if trial % 2 else random_multigraph
         g = make(rng, n, rng.randint(0, 12 * n))
         t = rng.randint(1, 40)
-        fd = forest_decomposition(g, t)
-        assert len(fd.forests) == t
-        check_decomposition(g, fd)
+        forests = forest_decomposition(g, t)
+        assert len(forests) == t
+        check_decomposition(g, forests)
 
 
 def test_certificate_is_one_decomposition():
@@ -185,10 +185,9 @@ def test_certificate_is_one_decomposition():
         g = make(rng, n, rng.randint(n, 30 * n))
         for k in (3, 4, 5):
             t = superset_forest_count(g.n, k)
-            forests = forest_decomposition(g, t + k).forests
+            forests = forest_decomposition(g, t + k)
             rep = k_certificate(g, k)
             assert rep.eprime == set().union(*forests[:t])
             assert set(rep.certificate.edge_ids()) == set().union(*forests)
-            assert rep.forests_used == t
             thinned += rep.certificate.m < g.m
     assert thinned > 0

@@ -162,9 +162,10 @@ def test_bool_is_not_a_vertex():
     tree.validate()
 
 
-def test_root_reads_agree_with_checked_root_of():
-    # same_max_3ec compares two reads of the union-find's root list; after
-    # every insert its answers match the checked DsuForest.root_of path
+def test_root_reads_agree_with_member_lists():
+    # same_max_3ec compares two reads of the class root list; after every
+    # insert its answers match membership in subgraph_of, which walks the
+    # class's member list instead
     rng = random.Random(21)
     g = planted_clusters(rng, 60, 12, 30, 200)
     edges = [g.endpoints(e) for e in g.edge_ids()]
@@ -172,13 +173,12 @@ def test_root_reads_agree_with_checked_root_of():
     tree = DecompTree()
     for _ in range(g.n):
         tree.insert_vertex()
-    root_of = tree._dsu.root_of
     for u, v in edges:
         tree.insert_edge(u, v)
         for x, y in [(u, v)] + [
             (rng.randint(1, g.n), rng.randint(1, g.n)) for _ in range(3)
         ]:
-            assert tree.same_max_3ec(x, y) == (root_of(x - 1) == root_of(y - 1))
+            assert tree.same_max_3ec(x, y) == (y in tree.subgraph_of(x))
     assert len(edges) == 2000
     tree.validate()
 
@@ -543,32 +543,56 @@ def _stale_child_slot(tree, by_level):
 
 
 def _unite_two_edgeless(tree, by_level):
-    a, b = tree.insert_vertex(), tree.insert_vertex()
-    tree._dsu.unite(a - 1, b - 1, None)
+    a, b = tree.insert_vertex() - 1, tree.insert_vertex() - 1
+    tree._root[b] = a
+    tree._size[a] = 2
+    tree._next[a], tree._next[b] = b, a
+    tree._classes -= 1
 
 
 def _unlabel_a_leaf(tree, by_level):
     leaf = by_level[3][0]
-    tree._dsu.set_label(leaf.dsu_item, None)
+    tree._leaf[tree._root[leaf.dsu_item]] = None
 
 
 def _label_edgeless_with_a_2ecc(tree, by_level):
     v = tree.insert_vertex()
-    tree._dsu.set_label(v - 1, by_level[2][0])
+    tree._leaf[v - 1] = by_level[2][0]
 
 
-def _point_at_a_non_root(tree, by_level):
-    # a K4 on four new vertices is one class; a member that is neither its
-    # root nor its leaf's item is pointed at another non-root member
+def _k4_non_roots(tree):
+    """Adds a K4 on four new vertices, one class, and returns the indices of
+    its members that are neither its root nor its leaf's item."""
     vs = [tree.insert_vertex() for _ in range(4)]
     for a, b in itertools.combinations(vs, 2):
         tree.insert_edge(a, b)
     tree.validate()
-    parent = tree._dsu._parent
-    root = parent[vs[0] - 1]
-    leaf_item = tree._dsu._label[root].dsu_item
-    x, y = [v - 1 for v in vs if v - 1 not in (root, leaf_item)][:2]
-    parent[x] = y
+    root = tree._root[vs[0] - 1]
+    leaf_item = tree._leaf[root].dsu_item
+    return [v - 1 for v in vs if v - 1 not in (root, leaf_item)]
+
+
+def _point_at_a_non_root(tree, by_level):
+    x, y = _k4_non_roots(tree)[:2]
+    tree._root[x] = y
+
+
+def _leave_a_leaf_on_a_non_root(tree, by_level):
+    x = _k4_non_roots(tree)[0]
+    tree._leaf[x] = tree._leaf[tree._root[x]]
+
+
+def _oversize_a_class(tree, by_level):
+    tree._size[tree._root[0]] += 1
+
+
+def _miscount_the_classes(tree, by_level):
+    tree._classes += 1
+
+
+def _break_a_member_ring(tree, by_level):
+    # vertices 1 and 2 are singleton classes; 1's ring now runs into 2's
+    tree._next[0] = 1
 
 
 def _leak_a_cycle(tree, by_level):
@@ -595,6 +619,10 @@ def _forget_live_cycles(tree, by_level):
         _unlabel_a_leaf,
         _label_edgeless_with_a_2ecc,
         _point_at_a_non_root,
+        _leave_a_leaf_on_a_non_root,
+        _oversize_a_class,
+        _miscount_the_classes,
+        _break_a_member_ring,
         _leak_a_cycle,
         _forget_live_cycles,
     ],

@@ -1,44 +1,74 @@
+"""The vertex classes of `DecompTree`, a weighted quick-find over the lists
+`_root`, `_leaf`, `_size` and `_next`, and the forests' node-level union by
+size (`dsu._set_root`, `dsu._unite_nodes`)."""
+
+import itertools
 import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from eccforge import DecompTree, Multigraph, max_kec_subgraphs, maximal_kec_bruteforce
 from eccforge.blockforest import BlockTreeNode
-from eccforge.dsu import DsuForest, NotARootError, UnknownItemError, _set_root, _unite_nodes
+from eccforge.dsu import _set_root, _unite_nodes
+from eccforge.gen import planted_clusters
+from eccforge.graph import UnknownVertexError
+
+K4 = list(itertools.combinations(range(1, 5), 2))
+
+
+def tree_with(n, edges, tree=None):
+    tree = tree or DecompTree()
+    for _ in range(n):
+        tree.insert_vertex()
+    for u, v in edges:
+        tree.insert_edge(u, v)
+    return tree
+
+
+def chain_edges(n):
+    """A K4 on 1..4, then each vertex v > 4 joined to v-1, v-2 and v-3: the
+    class of the first four grows by one vertex per three edges."""
+    return K4 + [(v, v - d) for v in range(5, n + 1) for d in (1, 2, 3)]
 
 
 def test_make_set_singleton():
-    d = DsuForest()
-    x = d.make_set("L")
-    assert d.find(x) == (x, "L")
-    assert d.size_of(x) == 1
-    y = d.make_set("M")
-    assert d.root_of(x) != d.root_of(y)
+    # insert_vertex makes a singleton class of its own root, with no leaf
+    tree = DecompTree()
+    x, y = tree.insert_vertex(), tree.insert_vertex()
+    assert tree._root == [0, 1] and tree._leaf == [None, None]
+    assert tree._size == [1, 1] and tree._next == [0, 1]
+    assert tree.count() == 2
+    assert tree.subgraph_of(x) == {x} and not tree.same_max_3ec(x, y)
+    tree.validate()
 
 
 def test_unite_label_decoupling():
-    # the label follows the caller's choice even when union-by-size keeps
-    # the other tree's root internally
-    d = DsuForest()
-    items = [d.make_set(i) for i in range(5)]
-    d.unite(items[0], items[1], "big")
-    d.unite(items[0], items[2], "big")
-    d.unite(items[3], items[4], "small")
-    d.unite(items[0], items[3], "small-wins")
-    assert d.label_of(items[1]) == "small-wins"
-    assert d.root_of(items[4]) == d.root_of(items[0])
+    # the merged class's leaf is the node the merge names, even when union
+    # by size keeps the other class's root: vertex 5 joins the K4's class,
+    # the K4's root survives, and the whole graph condenses into the root
+    tree = tree_with(5, K4 + [(5, 1)])
+    r = tree._root[0]
+    old_leaf = tree._leaf[r]
+    assert old_leaf is not tree.root
+    tree.insert_edge(5, 2)
+    tree.insert_edge(5, 3)
+    assert tree._root[4] == r
+    assert tree._leaf[r] is tree.root and tree.root.dsu_item is not None
+    assert old_leaf.dsu_item is None
+    tree.validate()
 
 
 def test_unite_releases_losing_label():
-    # only live sets keep a label, so a union frees what the loser's named
-    d = DsuForest()
-    items = [d.make_set(object()) for _ in range(6)]
-    for x in items[1:4]:
-        d.unite(items[0], x, "A")
-    d.unite(items[4], items[5], "B")
-    assert d.label_of(items[3]) == "A" and d.label_of(items[5]) == "B"
-    assert sum(label is not None for label in d._label) == d.num_sets == 2
+    # only roots keep a leaf, so a merge frees what the loser's root named
+    tree = tree_with(5, K4 + [(5, 1)])
+    assert tree._leaf[4] is not None
+    tree.insert_edge(5, 2)
+    tree.insert_edge(5, 3)
+    assert tree._root[4] != 4 and tree._leaf[4] is None
+    assert sum(leaf is not None for leaf in tree._leaf) == tree.count() == 1
+    tree.validate()
 
 
 def test_forest_nodes_unite_by_size():
@@ -61,72 +91,79 @@ def test_forest_nodes_unite_by_size():
 
 
 def test_unite_same_set_relabels_only():
-    d = DsuForest()
-    a, b = d.make_set("A"), d.make_set("B")
-    d.unite(a, b, "AB")
-    before = d.num_sets
-    d.unite(a, b, "AB2")
-    assert d.num_sets == before
-    assert d.label_of(a) == "AB2"
+    # a leaf that moves down the tree (here the condensed root, expanded by
+    # the first edge of a new vertex) changes its class's leaf and nothing
+    # else: no vertex is relabelled and no class merges
+    tree = tree_with(4, K4)
+    assert tree.root.dsu_item is not None
+    roots, sizes = list(tree._root), list(tree._size)
+    tree.insert_vertex()
+    tree.insert_edge(5, 1)
+    assert tree._root[:4] == roots and tree._size[:4] == sizes
+    leaf = tree._leaf[roots[0]]
+    assert leaf is not tree.root and leaf.level == 3
+    assert tree.root.dsu_item is None
+    assert tree.count() == 2
+    tree.validate()
 
 
 def test_chain_unions_one_set():
-    d = DsuForest()
-    items = [d.make_set(i) for i in range(10)]
-    for i in range(9):
-        d.unite(items[i], items[i + 1], None)
-    assert d.num_sets == 1
-    assert d.size_of(items[0]) == 10
-    assert {d.root_of(x) for x in items} == {d.root_of(items[0])}
+    n = 40
+    tree = tree_with(n, chain_edges(n))
+    assert tree.count() == 1
+    r = tree._root[0]
+    assert tree._size[r] == n
+    assert set(tree._root) == {r}
+    assert tree.subgraph_of(n) == set(range(1, n + 1))
 
 
 def test_members():
-    d = DsuForest()
-    a, b, c = (d.make_set(k) for k in "abc")
-    assert d.members(d.root_of(a)) == [a]
-    d.unite(a, b, None)
-    assert set(d.members(d.root_of(a))) == {a, b}
-    with pytest.raises(NotARootError):
-        root = d.root_of(a)
-        other = a if root != a else b
-        d.members(other)
-    assert set(d.members(d.root_of(c))) == {c}
+    tree = tree_with(6, K4 + [(4, 5)])
+    assert tree.subgraph_of(2) == {1, 2, 3, 4}
+    assert tree.subgraph_of(5) == {5}  # an edged singleton
+    assert tree.subgraph_of(6) == {6}  # an edgeless one
+    root = tree._root[0]
+    assert sorted(tree._members(root)) == [1, 2, 3, 4]
 
 
 def test_unknown_item():
-    d = DsuForest()
-    with pytest.raises(UnknownItemError):
-        d.find(3)
+    tree = tree_with(3, [(1, 2)])
+    for bad in (0, 4, -1, True, 1.0):
+        with pytest.raises(UnknownVertexError):
+            tree.subgraph_of(bad)
 
 
-@given(st.lists(st.tuples(st.integers(0, 19), st.integers(0, 19)), max_size=60))
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 7), st.integers(1, 7)), max_size=30))
 def test_matches_naive_reference(pairs):
-    d = DsuForest()
-    items = [d.make_set(i) for i in range(20)]
-    tags = list(range(20))  # naive per-item set tags
-    for a, b in pairs:
-        d.unite(items[a], items[b], None)
-        ta, tb = tags[a], tags[b]
-        if ta != tb:
-            tags = [ta if t == tb else t for t in tags]
-    for i in range(20):
-        for j in range(20):
-            assert (d.root_of(items[i]) == d.root_of(items[j])) == (
-                tags[i] == tags[j]
-            )
+    # the classes match the flow oracle's maximal 3-edge-connected subgraphs
+    edges = [(a, b) for a, b in pairs if a != b]
+    tree = tree_with(7, edges)
+    g = Multigraph()
+    for _ in range(7):
+        g.add_vertex()
+    for u, v in edges:
+        g.add_edge(u, v)
+    want = maximal_kec_bruteforce(g, 3)
+    for x in range(1, 8):
+        for y in range(1, 8):
+            assert tree.same_max_3ec(x, y) == want.same(x, y)
 
 
 def test_members_cover_everything():
+    # partition() lists every vertex once, edgeless ones included
     rng = random.Random(7)
-    d = DsuForest()
-    items = [d.make_set(i) for i in range(50)]
-    for _ in range(40):
-        d.unite(rng.choice(items), rng.choice(items), None)
-    seen = []
-    for r in d.roots():
-        seen.extend(d.members(r))
-    assert sorted(seen) == sorted(items)
-    assert len(d.roots()) == d.num_sets
+    g = planted_clusters(rng, 10, 5, 15, 20)
+    edges = [g.endpoints(e) for e in g.edge_ids()]
+    rng.shuffle(edges)
+    n = g.n + 5  # five vertices never get an edge
+    tree = tree_with(n, edges)
+    parts = tree.partition()
+    seen = sorted(v for part in parts for v in part)
+    assert seen == list(range(1, n + 1))
+    assert len(parts) == tree.count()
+    assert any(len(part) > 1 for part in parts)
+    tree.validate()
 
 
 class _CountingList(list):
@@ -140,32 +177,31 @@ class _CountingList(list):
 
 
 def test_relabels_stay_within_n_log_n():
-    # each union relabels only the smaller set, so an item moves at most
-    # log2 n times; a forest that relabelled b's set every time would do
-    # n(n-1)/2 writes on this chain, where b is always the grown set
-    n = 1024
-    d = DsuForest()
-    d._parent = _CountingList()
-    items = [d.make_set(i) for i in range(n)]
-    for x in items[1:]:
-        d.unite(x, items[0], None)
-    assert d.num_sets == 1 and d.size_of(items[0]) == n
-    assert d._parent.writes <= n * math.log2(n)
+    # each merge relabels only the smaller class, so a vertex moves at most
+    # log2 n times; relabelling the grown class instead would take n(n-1)/2
+    # writes on this chain, whichever end of each edge comes first
+    n = 256
+    for edges in (chain_edges(n), [(v, u) for u, v in chain_edges(n)]):
+        tree = DecompTree()
+        tree._root = _CountingList()
+        tree_with(n, edges, tree)
+        assert tree.count() == 1 and tree._size[tree._root[0]] == n
+        assert tree._root.writes <= n * math.log2(n)
+        tree.validate()
 
 
 def test_every_item_points_at_its_root():
+    # on a seeded planted stream every vertex points at a root, and two
+    # vertices share a root exactly when the static solver puts them in
+    # one maximal 3-edge-connected subgraph
     rng = random.Random(23)
-    d = DsuForest()
-    items = [d.make_set(i) for i in range(200)]
-    tags = list(range(200))  # naive per-item set tags
-    for _ in range(150):
-        a, b = rng.choice(items), rng.choice(items)
-        d.unite(a, b, None)
-        ta, tb = tags[a], tags[b]
-        if ta != tb:
-            tags = [ta if t == tb else t for t in tags]
-    parent = d._parent
-    for x in items:
-        assert parent[parent[x]] == parent[x]
-        for y in items:
-            assert (parent[x] == parent[y]) == (tags[x] == tags[y])
+    g = planted_clusters(rng, 20, 10, 40, 40)
+    edges = [g.endpoints(e) for e in g.edge_ids()]
+    rng.shuffle(edges)
+    tree = tree_with(g.n, edges)
+    want = max_kec_subgraphs(g, 3)
+    root = tree._root
+    for x in range(g.n):
+        assert root[root[x]] == root[x]
+        for y in range(g.n):
+            assert (root[x] == root[y]) == want.same(x + 1, y + 1)
