@@ -4,12 +4,7 @@ from .graph import Multigraph, parse_graph, parse_stream, serialize_graph
 from .blockforest import BlockForest
 from .cactusforest import CactusForest
 from .decomp import DecompTree
-from .certificates import (
-    CertificateReport,
-    forest_decomposition,
-    interconnection_superset,
-    k_certificate,
-)
+from .certificates import CertificateReport, forest_decomposition, k_certificate
 from .solver import Partition, max_kec_subgraphs
 from .dynamic import SparsTree
 from .oracle import edge_connectivity, kecc_partition, maximal_kec_bruteforce
@@ -24,7 +19,6 @@ __all__ = [
     "SparsTree",
     "edge_connectivity",
     "forest_decomposition",
-    "interconnection_superset",
     "k_certificate",
     "kecc_partition",
     "max_kec_subgraphs",

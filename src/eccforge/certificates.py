@@ -63,21 +63,13 @@ def superset_forest_count(n: int, k: int) -> int:
     return max(1, math.ceil(4 * k * math.log2(n)))
 
 
-def interconnection_superset(g: Multigraph, k: int) -> set[int]:
-    """An edge set guaranteed to contain every k-interconnection edge:
-    the union of the first ceil(4*k*log2(n)) forests of a decomposition."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    return set().union(*forest_decomposition(g, superset_forest_count(g.n, k)))
-
-
 def k_certificate(g: Multigraph, k: int) -> CertificateReport:
     """A spanning subgraph with the same maximal k-edge-connected subgraphs.
 
-    Construction: one decomposition into t + k forests, t the forest count
-    of the superset. E' is F_1..F_t, which keeps every k-interconnection
-    edge; the certificate is F_1..F_{t+k}, E' plus a k-forest decomposition
-    of g minus E'.
+    Construction: one decomposition into t + k forests, with
+    t = `superset_forest_count(n, k)`. E' is F_1..F_t, which keeps every
+    k-interconnection edge; the certificate is F_1..F_{t+k}, E' plus a
+    k-forest decomposition of g minus E'.
     """
     if k < 3:
         raise ValueError("k must be >= 3")

@@ -66,17 +66,16 @@ class DecompError(Exception):
 
 
 class DecompNode:
-    __slots__ = (
-        "parent", "children", "level", "bt_node", "cx_node", "dsu_item", "_pos", "_mark"
-    )
+    __slots__ = ("parent", "children", "level", "fnode", "dsu_item", "_pos", "_mark")
 
     def __init__(self, parent: Optional["DecompNode"]):
         self.parent = parent
         self.children: list[DecompNode] = []
         self.level = 0 if parent is None else parent.level + 1
         self._pos = 0  # index in parent.children
-        self.bt_node = None  # block-tree node of a 2-ecc inside its parent's tree
-        self.cx_node = None  # cactus real node of a 3-ecc inside its parent's cactus
+        # forest node inside the parent's forest: a 2-ecc's block-tree node,
+        # a 3-ecc's cactus real node
+        self.fnode = None
         self.dsu_item: Optional[int] = None  # any vertex item of a leaf's class
         self._mark = False
 
@@ -126,8 +125,8 @@ class DecompTree:
         a leaf holding `item`, which the caller labels with it."""
         c2 = self._new_node(c1)
         c3 = self._new_node(c2)
-        c2.bt_node = self._bf.new_node(c2)
-        c3.cx_node = self._cf.new_node(c3)
+        c2.fnode = self._bf.new_node(c2)
+        c3.fnode = self._cf.new_node(c3)
         c3.dsu_item = item
         return c3
 
@@ -207,9 +206,7 @@ class DecompTree:
             return
         # nca is a 2-ecc node: compress the cycle-path on its cactus
         c1, c2 = path_x[-1], path_y[-1]
-        q_nodes, q_payloads, z_real = self._cf.compress_cycle_path(
-            c1.cx_node, c2.cx_node
-        )
+        q_nodes, q_payloads, z_real = self._cf.compress_cycle_path(c1.fnode, c2.fnode)
         if len(q_nodes) == len(nca.children):
             # the whole 2-ecc became 3-edge-connected
             self._condense(nca, z_real)
@@ -246,14 +243,14 @@ class DecompTree:
                 # an edgeless vertex is its own class's root
                 leaf = self._leaf[v - 1] = self._new_pair(c1, v - 1)
                 ends[i] = leaf.parent
-        self._bf.join_trees(ends[0].bt_node, ends[1].bt_node, (x, y))
+        self._bf.join_trees(ends[0].fnode, ends[1].fnode, (x, y))
 
     def _insert_at_component(self, path_x, path_y, x: int, y: int) -> None:
         """The new edge bridges two connected components: merge the 1-ecc
         children and link their block trees at the 2-eccs holding x and y."""
         c1, c2 = path_x[-1], path_y[-1]
         u2, v2 = path_x[-2], path_y[-2]
-        self._bf.join_trees(u2.bt_node, v2.bt_node, (x, y))
+        self._bf.join_trees(u2.fnode, v2.fnode, (x, y))
         self._merge_siblings([c1, c2])
 
     def _insert_at_1ecc(self, nca, path_x, path_y, x: int, y: int) -> None:
@@ -261,7 +258,7 @@ class DecompTree:
         merge cycle-paths inside every 2-ecc along it, then merge them all
         and join their cactuses along the induced cycle."""
         c1, c2 = path_x[-1], path_y[-1]
-        b_nodes, b_payloads, z_bt = self._bf.compress_path(c1.bt_node, c2.bt_node)
+        b_nodes, b_payloads, z_bt = self._bf.compress_path(c1.fnode, c2.fnode)
         xs = [bn.handle for bn in b_nodes]
 
         # the 3-eccs where the path enters and leaves each xs[i]: bridge i
@@ -287,17 +284,15 @@ class DecompTree:
                 merged3.append(a)
                 continue
             q_nodes, q_payloads, z_real = self._cf.compress_cycle_path(
-                a.cx_node, b.cx_node
+                a.fnode, b.fnode
             )
             d = self._merge3ecc([q.handle for q in q_nodes], q_payloads, z_real)
             merged3.append(d)
 
         survivor = self._merge_siblings(xs)
         z_bt.handle = survivor
-        survivor.bt_node = z_bt
-        self._cf.join_cactuses(
-            [d.cx_node for d in merged3], b_payloads + [(x, y)]
-        )
+        survivor.fnode = z_bt
+        self._cf.join_cactuses([d.fnode for d in merged3], b_payloads + [(x, y)])
 
     def _merge3ecc(self, d_nodes, payloads, z_real) -> DecompNode:
         """Merge 3-ecc siblings into one node and owe a re-insertion to the
@@ -309,7 +304,7 @@ class DecompTree:
                 self._expand_leaf(d)
         survivor = self._merge_siblings(d_nodes)
         z_real.handle = survivor
-        survivor.cx_node = z_real
+        survivor.fnode = z_real
         # stacked in reverse so they are re-inserted in payload order
         self._owed.extend(reversed(payloads))
         return survivor
@@ -331,7 +326,7 @@ class DecompTree:
         kids = survivor.children
         siblings = survivor.parent.children
         for nd in nodes:
-            fnode = nd.bt_node or nd.cx_node
+            fnode = nd.fnode
             if fnode is not None:
                 fnode.handle = None
             if nd is survivor:
@@ -365,7 +360,7 @@ class DecompTree:
             self._unite_leaves(leaves, d)
             # the compressed cactus is now a single real node; rebind it
             z_real.handle = d
-            d.cx_node = z_real
+            d.fnode = z_real
 
     def _collect_leaves(self, top: DecompNode, keep=None) -> list[DecompNode]:
         """Leaves below `top`, whose subtree the caller drops: the walk
@@ -377,10 +372,9 @@ class DecompTree:
         stack = list(top.children)
         while stack:
             nd = stack.pop()
-            if nd.bt_node is not None:
-                self._bf._drop(nd.bt_node)
-            elif nd.cx_node is not None and nd.cx_node is not keep:
-                self._cf._drop(nd.cx_node)
+            fnode = nd.fnode
+            if fnode is not None and fnode is not keep:
+                (self._bf if nd.level % 3 == 2 else self._cf)._drop(fnode)
             if nd.dsu_item is not None:
                 out.append(nd)
             else:
@@ -465,10 +459,10 @@ class DecompTree:
                     raise DecompError(f"level broken at {ch}")
                 stack.append(ch)
             if kind == 1:
-                self._check_binding(node, self._bf, "bt_node")
+                self._check_binding(node, self._bf)
             elif kind == 2:
-                self._check_binding(node, self._cf, "cx_node")
-                cycles.update(ch.cx_node.parent for ch in node.children)
+                self._check_binding(node, self._cf)
+                cycles.update(ch.fnode.parent for ch in node.children)
         cycles.discard(None)
         if cycles != self._cf.cycles():
             raise DecompError("cactus forest cycles differ from the live cactuses'")
@@ -506,14 +500,14 @@ class DecompTree:
         if len(leaves) + edgeless != len(pointing):
             raise DecompError("leaf and edgeless counts disagree with class count")
 
-    def _check_binding(self, node: DecompNode, forest, attr: str) -> None:
-        """The children of `node` are bound one-to-one to the nodes of one
-        tree of `forest` (block trees or cactuses) through `attr`."""
+    def _check_binding(self, node: DecompNode, forest) -> None:
+        """The children of `node` are bound one-to-one, through `fnode`, to
+        the nodes of one tree of `forest` (block trees or cactuses)."""
         roots = set()
         for ch in node.children:
-            fnode = getattr(ch, attr)
+            fnode = ch.fnode
             if fnode is None or not forest.is_live(fnode) or fnode.handle is not ch:
-                raise DecompError(f"{attr} binding broken under {node}")
+                raise DecompError(f"forest binding broken under {node}")
             roots.add(forest.root_path(fnode)[-1])
         if len(roots) != 1:
             raise DecompError(f"children of {node} span several trees")

@@ -29,7 +29,9 @@ Only the vertices that move are relabelled: a local cut argument in the
 spirit of Forster et al. (SODA 2020) and Chechik et al. (SODA 2017). There
 is no sparsification tree (Eppstein et al., JACM 1997): the steps above read
 one class, a cut or a quotient region, and at the sizes run here no
-certificate thins what they read. Only the build solves the whole graph.
+certificate thins what they read. Only the build solves the whole graph:
+it puts every vertex in one class and splits it as a failed check does
+(`_solve_side`).
 Queries compare two class ids; `partition()` builds the ordered `Partition`
 on its first call after a change.
 """
@@ -216,10 +218,9 @@ class SparsTree:
     docstring). The name is kept for its callers; the engine holds no
     sparsification tree.
 
-    Counters: `full_solves` (solves of the whole graph) and `flow_checks`
-    (deletes inside a class). `rebuilds` is always 1, the build, and
-    `last_recompute_nodes` always 0; both stay for the callers that read
-    them.
+    Counter: `flow_checks` (deletes inside a class). `rebuilds` and
+    `full_solves` are always 1, the build, and `last_recompute_nodes` always
+    0; they stay for the callers that read them.
     """
 
     def __init__(self, g: Multigraph, k: int):
@@ -232,26 +233,17 @@ class SparsTree:
         self.last_recompute_nodes = 0
         adj = self._adj = _adjacency(g)
         self._m = g.m
-        members = self._members = dict(enumerate(kec_classes(adj, adj.keys(), k)))
-        self._ids = itertools.count(len(members))  # fresh class ids
-        class_of = self._class_of = {x: c for c, cls in members.items() for x in cls}
-        # every edge between classes has an end outside the largest class, so
-        # the quotient is read from the other classes' rows alone
-        quotient = self._quotient = {c: {} for c in members}
-        big = max(members, key=lambda c: len(members[c]), default=None)
-        row_big = quotient.get(big)
-        for c, cls in members.items():
-            if c == big:
-                continue
-            row = quotient[c]
-            for x in cls:
-                for y, mult in adj[x].items():
-                    cy = class_of[y]
-                    if cy != c:
-                        row[cy] = row.get(cy, 0) + mult
-                        if cy == big:
-                            row_big[c] = row_big.get(c, 0) + mult
+        self._ids = itertools.count()  # fresh class ids
+        self._class_of: dict[int, int] = {}
+        self._members: dict[int, set[int]] = {}
+        self._quotient: dict[int, dict[int, int]] = {}
         self._partition: Partition | None = None
+        if adj:  # the build is the split of one class of every vertex
+            c = next(self._ids)
+            self._class_of = dict.fromkeys(adj, c)
+            self._members[c] = set(adj)
+            self._quotient[c] = {}
+            self._solve_side(c)
 
     # -- partition maintenance -------------------------------------------
 

@@ -6,7 +6,6 @@ import pytest
 from eccforge import (
     Multigraph,
     forest_decomposition,
-    interconnection_superset,
     k_certificate,
     maximal_kec_bruteforce,
 )
@@ -77,7 +76,7 @@ def test_forest_input_single_pass():
 
 def test_superset_saturation_small_graph():
     g = triangle()
-    eprime = interconnection_superset(g, 3)
+    eprime = k_certificate(g, 3).eprime
     assert eprime == set(g.edge_ids())
 
 
@@ -87,7 +86,7 @@ def test_superset_contains_bridge(two_k4_bridge):
         for eid in two_k4_bridge.edge_ids()
         if set(two_k4_bridge.endpoints(eid)) == {4, 5}
     ]
-    eprime = interconnection_superset(two_k4_bridge, 3)
+    eprime = k_certificate(two_k4_bridge, 3).eprime
     assert set(bridge) <= eprime
 
 
@@ -102,7 +101,7 @@ def test_superset_oracle_interconnection_edges():
                 for eid in g.edge_ids()
                 if not part.same(*g.endpoints(eid))
             }
-            assert inter <= interconnection_superset(g, k)
+            assert inter <= k_certificate(g, k).eprime
 
 
 def test_certificate_triangle_saturated():

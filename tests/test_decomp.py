@@ -47,9 +47,9 @@ def test_edgeless_vertex_holds_no_tree_nodes():
     (c1,) = tree.root.children
     assert c1.level == 1 and len(c1.children) == 2
     for c2 in c1.children:
-        assert c2.level == 2 and c2.bt_node is not None
+        assert c2.level == 2 and c2.fnode is not None
         (c3,) = c2.children
-        assert c3.level == 3 and c3.dsu_item is not None and c3.cx_node is not None
+        assert c3.level == 3 and c3.dsu_item is not None and c3.fnode is not None
     assert {tree._leaf_of(1), tree._leaf_of(2)} == {c2.children[0] for c2 in c1.children}
     assert tree._leaf_of(3) is None
     assert (tree.total_insert_calls, tree.affecting_insertions) == (1, 1)
@@ -515,15 +515,15 @@ def _reparent_grandchild_to_root(tree, by_level):
 
 
 def _clear_block_handle(tree, by_level):
-    by_level[2][0].bt_node.handle = None
+    by_level[2][0].fnode.handle = None
 
 
 def _clear_cactus_handle(tree, by_level):
-    by_level[3][0].cx_node.handle = None
+    by_level[3][0].fnode.handle = None
 
 
 def _drop_cactus_node(tree, by_level):
-    by_level[3][0].cx_node = None
+    by_level[3][0].fnode = None
 
 
 def _swap_leaf_items(tree, by_level):

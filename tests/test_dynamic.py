@@ -7,7 +7,7 @@ import pytest
 
 from eccforge import Multigraph, SparsTree, max_kec_subgraphs, maximal_kec_bruteforce
 from eccforge.dynamic import _cut_side
-from eccforge.gen import random_dynamic_stream, replay
+from eccforge.gen import planted_clusters, random_dynamic_stream, replay
 from eccforge.graph import SelfLoopError, UnknownEdgeError, UnknownVertexError
 from eccforge.oracle import edge_connectivity
 from eccforge.solver import Partition, kec_classes
@@ -50,6 +50,17 @@ def test_build_two_k4_bridge(two_k4_bridge):
         frozenset({1, 2, 3, 4}),
         frozenset({5, 6, 7, 8}),
     }
+    # many classes, none holding most vertices, and 16 isolated vertices:
+    # the build's split writes a quotient row for every class
+    g = planted_clusters(random.Random(26), 64, 8, 20, 96)
+    for _ in range(16):
+        g.add_vertex()
+    for k in (3, 4):
+        st = SparsTree(g.copy(), k)
+        st.validate()
+        assert st.partition() == max_kec_subgraphs(g, k)
+        sizes = [len(cls) for cls in st.partition().as_sets()]
+        assert len(sizes) > 100 and max(sizes) <= 8 and sizes.count(1) > 16
 
 
 def test_build_requires_positive_k():
@@ -811,7 +822,8 @@ def test_insert_vertex_is_a_fresh_singleton(solve_sizes):
         frozenset({3}),
         frozenset({4}),
     }
-    assert solve_sizes == [0]
+    # a graph with no vertices makes no class, so the build solves nothing
+    assert solve_sizes == []
 
 
 @pytest.mark.parametrize(
