@@ -1,15 +1,17 @@
 """Forest of rooted trees with node merging, path compression into a single
 node, and size-aware linking with edge payload handover.
 
-Merged nodes resolve to their live representative through union-find links
-kept on the nodes themselves (`dsu._set_root`, union by size with path
-compression). A parent pointer left stale by a merge is rewritten to its
-representative the next time `parent_of` reads it, and a merged node drops
-its own tree links, so the forest holds no reference to a dead node beyond
-the stale pointers still waiting to be read. Tree sizes live on roots.
-Path discovery is the marked two-pointer climb of `climb.meet_paths`, shared
-with the decomposition tree and the cactus forest, so it costs O(|path|)
-without any depth bookkeeping.
+`compress_path` links every other path node straight under the meet, the
+live node they merge into, through an `_up` link kept on the node itself, so
+a merged set's root is its live node and `dsu._set_root` resolves a stale
+reference with path compression. A parent pointer left stale by a merge is
+rewritten to its representative the next time `parent_of` reads it, and a
+merged node drops its own tree links, so the forest holds no reference to a
+dead node beyond the stale pointers still waiting to be read. A dropped node
+(`_drop`) stays its set's root, so it still reads `is_live`, but it loses its
+handle. Tree sizes live on roots. Path discovery is the marked two-pointer
+climb of `climb.meet_paths`, shared with the cactus forest, so it costs
+O(|path|) without any depth bookkeeping.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from .climb import meet_paths
-from .dsu import _release, _set_root, _unite_nodes
+from .dsu import _set_root
 
 
 class BlockTreeError(Exception):
@@ -37,16 +39,14 @@ class SameTreeError(BlockTreeError):
 
 
 class BlockTreeNode:
-    __slots__ = ("handle", "parent", "edge", "size", "_up", "_rep", "_n", "_mark")
+    __slots__ = ("handle", "parent", "edge", "size", "_up", "_mark")
 
     def __init__(self, handle: Any):
         self.handle = handle
         self.parent: Optional[BlockTreeNode] = None
         self.edge: Any = None  # payload of (self, parent); None at roots
         self.size = 1  # meaningful at roots only
-        self._up: Optional[BlockTreeNode] = None  # union-find link; None at set roots
-        self._rep = self  # live node of the merged set, read at set roots only
-        self._n = 1  # merged-set size, read at set roots only
+        self._up: Optional[BlockTreeNode] = None  # merge link; None at the live node
         self._mark = False
 
 
@@ -60,20 +60,20 @@ class BlockForest:
     # -- resolution helpers -------------------------------------------
 
     def representative(self, node: BlockTreeNode) -> BlockTreeNode:
-        return _set_root(node)._rep
+        return _set_root(node)
 
     def is_live(self, node: BlockTreeNode) -> bool:
-        return _set_root(node)._rep is node
+        return node._up is None
 
     def parent_of(self, node: BlockTreeNode) -> Optional[BlockTreeNode]:
         p = node.parent
         if p is not None:
-            p = node.parent = _set_root(p)._rep
+            p = node.parent = _set_root(p)
         return p
 
     def root_path(self, node: BlockTreeNode) -> list[BlockTreeNode]:
         """Live nodes from `node` up to its tree root, inclusive."""
-        path = [_set_root(node)._rep]
+        path = [_set_root(node)]
         while (p := self.parent_of(path[-1])) is not None:
             path.append(p)
         return path
@@ -89,8 +89,8 @@ class BlockForest:
         order, the merged node). The merged node keeps the meet point's parent
         link and gets a fresh (unset) handle for the caller to bind.
         """
-        x = _set_root(x)._rep
-        y = _set_root(y)._rep
+        x = _set_root(x)
+        y = _set_root(y)
         if x is y:
             raise SameNodeError("path endpoints coincide")
         paths = meet_paths(x, y, self.parent_of)
@@ -104,7 +104,7 @@ class BlockForest:
 
         for n in nodes:
             if n is not meet:
-                _unite_nodes(n, meet, meet)
+                n._up = meet
                 n.parent = n.edge = None
         root = self.root_path(meet)[-1]
         root.size -= len(nodes) - 1
@@ -118,8 +118,8 @@ class BlockForest:
         The smaller tree is rerooted at its endpoint (payloads handed child to
         parent along the way) and hung under the other endpoint.
         """
-        x = _set_root(x)._rep
-        y = _set_root(y)._rep
+        x = _set_root(x)
+        y = _set_root(y)
         path_x = self.root_path(x)
         path_y = self.root_path(y)
         rx, ry = path_x[-1], path_y[-1]
@@ -138,10 +138,8 @@ class BlockForest:
 
     def _drop(self, node: BlockTreeNode) -> None:
         """Let go of `node`, whose tree the caller has discarded: it loses its
-        handle and its set root stops pointing back at it, so reference
-        counting frees the merged set."""
+        handle, so reference counting frees its merged set."""
         node.handle = None
-        _release(node)
 
     def _reroot(self, path: list[BlockTreeNode]) -> None:
         # path[0] becomes the root; each node on the way hands its edge

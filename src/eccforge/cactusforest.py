@@ -11,10 +11,12 @@ A cycle node points at the list entry of its parent real node; the parent
 keeps no back pointer, since one real node may be the parent of many cycles.
 Non-parent members keep a bidirectional link with their entry.
 
-Real nodes merge through union-find links kept on the nodes themselves
-(`dsu._set_root`, union by size with path compression), so stored real-node
-references must be resolved to their set's live node, `_set_root(x)._rep`
-(what `representative` returns), before use. A cycle stores no parent of its
+A merged real node links straight under the live node it merges into
+(`_merge`), through an `_up` link kept on the node itself, so a merged set's
+root is its live node. Stored real-node references must be resolved to it,
+`_set_root(x)` (what `representative` returns, with path compression),
+before use. A dropped node stays its set's root, so it still reads
+`is_live`, but it loses its handle. A cycle stores no parent of its
 own: its parent is the live node of its parent entry's real node,
 `representative(cyc.parent_entry.real)`, so no merge leaves a stale cycle
 parent behind, and a merged node drops its own parent and entry links.
@@ -41,7 +43,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from .climb import meet_paths
-from .dsu import _release, _set_root, _unite_nodes
+from .dsu import _set_root
 
 
 class CactusError(Exception):
@@ -80,16 +82,14 @@ class ListEntry:
 
 
 class RealNode:
-    __slots__ = ("handle", "parent", "entry", "size", "_up", "_rep", "_n", "_mark")
+    __slots__ = ("handle", "parent", "entry", "size", "_up", "_mark")
 
     def __init__(self, handle: Any):
         self.handle = handle
         self.parent: Optional[CycleNode] = None
         self.entry: Optional[ListEntry] = None  # member entry in parent's list
         self.size = 1  # meaningful at roots only
-        self._up: Optional[RealNode] = None  # union-find link; None at set roots
-        self._rep = self  # live node of the merged set, read at set roots only
-        self._n = 1  # merged-set size, read at set roots only
+        self._up: Optional[RealNode] = None  # merge link; None at the live node
         self._mark = False
 
 
@@ -114,17 +114,17 @@ class CactusForest:
     # -- resolution helpers ---------------------------------------------
 
     def representative(self, node: RealNode) -> RealNode:
-        return _set_root(node)._rep
+        return _set_root(node)
 
     def is_live(self, node: RealNode) -> bool:
-        return _set_root(node)._rep is node
+        return node._up is None
 
     def root_path(self, node: RealNode) -> list:
         """Alternating real/cycle nodes from `node` up to its cactus root."""
-        path: list = [_set_root(node)._rep]
+        path: list = [_set_root(node)]
         while (cyc := path[-1].parent) is not None:
             path.append(cyc)
-            path.append(_set_root(cyc.parent_entry.real)._rep)
+            path.append(_set_root(cyc.parent_entry.real))
         return path
 
     def cycles(self) -> set[CycleNode]:
@@ -142,8 +142,8 @@ class CactusForest:
         Every involved cycle is squeezed at its two path members; residual
         2-entry lists where the members coincide are dissolved.
         """
-        x = _set_root(x)._rep
-        y = _set_root(y)._rep
+        x = _set_root(x)
+        y = _set_root(y)
         if x is y:
             raise SameNodeError("cycle-path endpoints coincide")
         paths = meet_paths(x, y, self._up)
@@ -165,17 +165,17 @@ class CactusForest:
         for part in (up_x, up_y):
             stop = len(part) - 1 if isinstance(meet, RealNode) else len(part) - 2
             for i in range(0, stop - 1, 2):
-                child = _set_root(part[i])._rep
-                anc = _set_root(part[i + 2])._rep
+                child = _set_root(part[i])
+                anc = _set_root(part[i + 2])
                 cyc = part[i + 1]
                 payloads.extend(self._squeeze(child, anc, cyc.parent_entry, cyc))
         if isinstance(meet, CycleNode):
-            u = _set_root(up_x[-2])._rep
-            v = _set_root(up_y[-2])._rep
+            u = _set_root(up_x[-2])
+            v = _set_root(up_y[-2])
             payloads.extend(self._squeeze(u, v, v.entry, meet))
 
-        merged = _set_root(x)._rep
-        assert merged is _set_root(y)._rep
+        merged = _set_root(x)
+        assert merged is _set_root(y)
         self.root_path(merged)[-1].size -= len(nodes) - 1
         # the caller binds a fresh handle to the merged node; the stale one
         # stays readable so returned path nodes still identify themselves
@@ -190,7 +190,7 @@ class CactusForest:
         k = len(xs)
         if k < 2 or len(payloads) != k:
             raise CactusError("need k >= 2 nodes and k payloads")
-        lives = [_set_root(x)._rep for x in xs]
+        lives = [_set_root(x) for x in xs]
         paths = [self.root_path(r) for r in lives]
         roots = [p[-1] for p in paths]
         if len({id(r) for r in roots}) != k:
@@ -222,21 +222,19 @@ class CactusForest:
     def _up(self, node):
         if isinstance(node, RealNode):
             return node.parent
-        return _set_root(node.parent_entry.real)._rep
+        return _set_root(node.parent_entry.real)
 
     # -- squeezing ----------------------------------------------------------
 
     def _merge(self, dead: RealNode, live: RealNode) -> None:
-        _unite_nodes(dead, live, live)
+        dead._up = live
         dead.parent = dead.entry = None
 
     def _drop(self, node: RealNode) -> None:
         """Let go of `node`, whose cactus the caller has discarded: it loses
-        its handle, its set root stops pointing back at it if it is the set's
-        live node, and the cycle it hangs from retires. Reference counting
+        its handle and the cycle it hangs from retires. Reference counting
         then frees both."""
         node.handle = None
-        _release(node)
         if node.parent in self._cycles:
             self._retire(node.parent)
 
@@ -334,7 +332,7 @@ class CactusForest:
         pe = cyc.parent_entry
         for e in arc:
             if e is not pe:
-                _set_root(e.real)._rep.parent = new_cyc
+                _set_root(e.real).parent = new_cyc
         if pe in arc:
             # the arc takes cyc's parent; v joins it through the fresh entry
             # and cyc hangs from v through ve

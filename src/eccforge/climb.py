@@ -1,5 +1,6 @@
-"""The marked two-pointer climb shared by the decomposition tree, the block
-forest and the cactus forest.
+"""The marked two-pointer climb shared by the block forest and the cactus
+forest, whose nodes keep no depth (the decomposition tree's nodes know their
+level, so it climbs by level instead).
 
 Both endpoints climb alternately, one step each, marking every node they
 pass; the first climber to step onto a marked node has found the meeting

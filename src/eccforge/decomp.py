@@ -19,7 +19,8 @@ trees, with no common-ancestor climb and no sibling merge. The root, which
 may have condensed into a leaf while edgeless vertices waited, is expanded
 first.
 
-Edge insertion locates the nearest common ancestor of the two endpoint leaves
+Edge insertion locates the nearest common ancestor of the two endpoint
+leaves, climbing the deeper one to the other's level and then both together,
 and rewrites only that node's attached structure; interconnection edges that
 fall inside a freshly merged 3-ecc go on a worklist of owed insertions, which
 `insert_edge` drains before it returns. Each re-insertion pushes its edge to
@@ -27,11 +28,12 @@ a deeper level, so no call stack grows with the depth of the tree.
 
 A node that leaves the tree, merged into a sibling or dropped with a
 condensed subtree, lets go of its children and its forest node lets go of
-it. A node dropped with a subtree also has its forest drop its forest node:
-the set root's `_rep` lets go of it, and a dropped cactus retires its cycles
-and cuts their rings. No reference cycle then holds dropped structure, so
-reference counting frees it at the drop, and what the engine holds is
-proportional to its live tree, the paper's O(n) space.
+it. A node dropped with a subtree also has its forest drop its forest node,
+and a dropped cactus retires its cycles and cuts their rings; the forests'
+merge links point only from dead nodes to live ones. No reference cycle then
+holds dropped structure, so reference counting frees it at the drop, and
+what the engine holds is proportional to its live tree, the paper's O(n)
+space.
 
 Vertices are checked once, where they enter through `insert_edge`,
 `same_max_3ec` or `subgraph_of`: a vertex is an `int` (not a `bool`) in
@@ -50,15 +52,11 @@ moves into its slot.
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import Optional
 
 from .blockforest import BlockForest
 from .cactusforest import CactusForest
-from .climb import meet_paths
 from .graph import SelfLoopError, UnknownVertexError
-
-_parent = attrgetter("parent")
 
 
 class DecompError(Exception):
@@ -66,7 +64,7 @@ class DecompError(Exception):
 
 
 class DecompNode:
-    __slots__ = ("parent", "children", "level", "fnode", "dsu_item", "_pos", "_mark")
+    __slots__ = ("parent", "children", "level", "fnode", "dsu_item", "_pos")
 
     def __init__(self, parent: Optional["DecompNode"]):
         self.parent = parent
@@ -77,7 +75,6 @@ class DecompNode:
         # a 3-ecc's cactus real node
         self.fnode = None
         self.dsu_item: Optional[int] = None  # any vertex item of a leaf's class
-        self._mark = False
 
     def __repr__(self) -> str:
         leaf = ", leaf" if self.dsu_item is not None else ""
@@ -409,11 +406,19 @@ class DecompTree:
 
     def _nca(self, leaf_x: DecompNode, leaf_y: DecompNode):
         """(nca, path from leaf_x, path from leaf_y); each path stops at a
-        child of the nca."""
-        paths = meet_paths(leaf_x, leaf_y, _parent)
-        if paths is None:
-            raise DecompError("leaves in disjoint trees")
-        path_x, path_y = paths
+        child of the nca. The deeper leaf climbs to the other's level, then
+        both climb together."""
+        path_x, path_y = [leaf_x], [leaf_y]
+        while leaf_x.level > leaf_y.level:
+            leaf_x = leaf_x.parent
+            path_x.append(leaf_x)
+        while leaf_y.level > leaf_x.level:
+            leaf_y = leaf_y.parent
+            path_y.append(leaf_y)
+        while leaf_x is not leaf_y:
+            leaf_x, leaf_y = leaf_x.parent, leaf_y.parent
+            path_x.append(leaf_x)
+            path_y.append(leaf_y)
         path_y.pop()
         return path_x.pop(), path_x, path_y
 

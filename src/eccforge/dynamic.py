@@ -247,10 +247,9 @@ class SparsTree:
 
     # -- partition maintenance -------------------------------------------
 
-    def _move(self, moved: set[int], old: int) -> tuple[int, list[tuple[int, int]]]:
+    def _move(self, moved: set[int], old: int) -> int:
         """Relabel `moved`, a part of class old, as a fresh class, and move the
-        quotient units of its edges, in O(vol(moved)). Returns the fresh id and
-        the pairs (x, y), x in moved, y left in old, that edges join."""
+        quotient units of its edges, in O(vol(moved)). Returns the fresh id."""
         new = next(self._ids)
         class_of, quotient = self._class_of, self._quotient
         self._members[old] -= moved
@@ -258,18 +257,15 @@ class SparsTree:
         quotient[new] = {}
         for x in moved:
             class_of[x] = new
-        cut = []
         for x in moved:
             for y, mult in self._adj[x].items():
                 cy = class_of[y]
                 if cy == new:
                     continue
-                if cy == old:
-                    cut.append((x, y))
-                else:  # this edge crossed from old to cy; now it leaves new
+                if cy != old:  # this edge crossed from old to cy; now it leaves new
                     _add(quotient, old, cy, -mult)
                 _add(quotient, new, cy, mult)
-        return new, cut
+        return new
 
     def _solve_side(self, c: int) -> None:
         """Replace class c by its own classes; the largest keeps the id."""
@@ -284,7 +280,9 @@ class SparsTree:
         k, adj, class_of = self.k, self._adj, self._class_of
         whole = self._members[c]
         moved = side if 2 * len(side) <= len(whole) else whole - side
-        new, cut = self._move(moved, c)
+        new = self._move(moved, c)
+        # the pairs (x, y), x moved, y left in c, that the cut's edges join
+        cut = [(x, y) for x in moved for y in adj[x] if class_of[y] == c]
         a, b = (u, v) if u in moved else (v, u)
         for cls, terminals in (
             (new, dict.fromkeys([a] + [x for x, _ in cut])),

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from eccforge import DecompTree, Multigraph, maximal_kec_bruteforce
+from eccforge import blockforest, cactusforest
 from eccforge.blockforest import BlockTreeNode
 from eccforge.cactusforest import CycleNode, ListEntry, RealNode
 from eccforge.decomp import DecompError, DecompNode
@@ -420,6 +421,29 @@ def test_work_counters_pinned_on_a_seeded_stream():
     assert (tree.total_insert_calls, tree.affecting_insertions) == (12548, 1611)
     assert (tree._bf.reroot_touches, tree._cf.reroot_touches) == (6162, 6176)
     assert tree._cf.walk_touches == 403
+
+
+def test_set_root_climb_pinned_on_a_seeded_stream(monkeypatch):
+    # a merged forest node links straight under the live one; the value is
+    # the engine's recorded `_set_root` climb on this stream, so a link rule
+    # that grows longer chains fails here
+    steps = 0
+
+    def counting_set_root(node):
+        nonlocal steps
+        root = node
+        while root._up is not None:
+            root = root._up
+            steps += 1
+        while node is not root:
+            node._up, node = root, node._up
+        return root
+
+    monkeypatch.setattr(blockforest, "_set_root", counting_set_root)
+    monkeypatch.setattr(cactusforest, "_set_root", counting_set_root)
+    tree = _insert_all(*_seeded_clusters())
+    assert steps == 6551
+    tree.validate()
 
 
 @pytest.mark.parametrize(

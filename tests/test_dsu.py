@@ -1,6 +1,7 @@
 """The vertex classes of `DecompTree`, a weighted quick-find over the lists
-`_root`, `_leaf`, `_size` and `_next`, and the forests' node-level union by
-size (`dsu._set_root`, `dsu._unite_nodes`)."""
+`_root`, `_leaf`, `_size` and `_next`, and the forests' node-level merge
+links, which put a merged node straight under the live one and compress
+paths in `dsu._set_root`."""
 
 import itertools
 import math
@@ -10,8 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eccforge import DecompTree, Multigraph, max_kec_subgraphs, maximal_kec_bruteforce
-from eccforge.blockforest import BlockTreeNode
-from eccforge.dsu import _set_root, _unite_nodes
+from eccforge.blockforest import BlockForest
+from eccforge.cactusforest import CactusForest
+from eccforge.dsu import _set_root
 from eccforge.gen import planted_clusters
 from eccforge.graph import UnknownVertexError
 
@@ -71,23 +73,43 @@ def test_unite_releases_losing_label():
     tree.validate()
 
 
-def test_forest_nodes_unite_by_size():
-    # each new node is united with the previous one and named the
-    # representative; union by size keeps the first node the set root, so no
-    # link chain grows with the number of unions
-    nodes = [BlockTreeNode(i) for i in range(64)]
-    for prev, node in zip(nodes, nodes[1:]):
-        _unite_nodes(node, prev, node)
+def test_forest_nodes_link_under_the_live_node():
+    # a block-tree path compression links every other path node straight
+    # under the meet, which stays its set's root
+    bf = BlockForest()
+    a, b, c, d = (bf.new_node(k) for k in "abcd")
+    for x, y in ((a, b), (b, c), (c, d)):
+        bf.join_trees(x, y, x.handle + y.handle)
+    nodes, _, meet = bf.compress_path(a, d)
+    assert meet._up is None and bf.is_live(meet)
+    assert all(n._up is meet for n in nodes if n is not meet)
 
-    def links(x):
-        n = 0
-        while x._up is not None:
-            x, n = x._up, n + 1
-        return n
+    # a cactus squeeze links the child member under the node it merges into,
+    # so the merged node of a cycle-path compression is a set root
+    cf = CactusForest()
+    a, b, c = (cf.new_node(k) for k in "abc")
+    cf.join_cactuses([a, b], ["ab", "ba"])
+    cf.join_cactuses([b, c], ["bc", "cb"])
+    nodes, _, merged = cf.compress_cycle_path(a, c)
+    assert merged._up is None
+    assert all(_set_root(n) is merged for n in nodes)
 
-    assert max(links(x) for x in nodes) <= 6
-    assert all(_set_root(x)._rep is nodes[-1] for x in nodes)
-    assert _set_root(nodes[0])._n == 64
+    # merging the live node into a fresh one each time grows a chain of
+    # links; one find on its tail points every link at the live node
+    for forest in (BlockForest(), CactusForest()):
+        chain = [forest.new_node(i) for i in range(8)]
+        z = chain[0]
+        for n in chain[1:]:
+            if isinstance(forest, BlockForest):
+                forest.join_trees(z, n, "p")
+                _, _, z = forest.compress_path(z, n)
+            else:
+                forest.join_cactuses([z, n], ["p", "q"])
+                _, _, z = forest.compress_cycle_path(z, n)
+            assert z is n
+        assert [x._up for x in chain] == chain[1:] + [None]
+        assert _set_root(chain[0]) is chain[-1]
+        assert all(x._up is chain[-1] for x in chain[:-1])
 
 
 def test_unite_same_set_relabels_only():
