@@ -9,9 +9,10 @@ rewritten to its representative the next time `parent_of` reads it, and a
 merged node drops its own tree links, so the forest holds no reference to a
 dead node beyond the stale pointers still waiting to be read. A dropped node
 (`_drop`) stays its set's root, so it still reads `is_live`, but it loses its
-handle. Tree sizes live on roots. Path discovery is the marked two-pointer
-climb of `climb.meet_paths`, shared with the cactus forest, so it costs
-O(|path|) without any depth bookkeeping.
+handle. Tree sizes live on roots. Path discovery is the two-pointer climb
+of `climb.meet_paths`, shared with the cactus forest, which records the nodes
+it passes in a set of its own, so it costs O(|path|) without any depth
+bookkeeping or mark on the nodes.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ class SameTreeError(BlockTreeError):
 
 
 class BlockTreeNode:
-    __slots__ = ("handle", "parent", "edge", "size", "_up", "_mark")
+    __slots__ = ("handle", "parent", "edge", "size", "_up")
 
     def __init__(self, handle: Any):
         self.handle = handle
@@ -47,7 +48,6 @@ class BlockTreeNode:
         self.edge: Any = None  # payload of (self, parent); None at roots
         self.size = 1  # meaningful at roots only
         self._up: Optional[BlockTreeNode] = None  # merge link; None at the live node
-        self._mark = False
 
 
 class BlockForest:

@@ -82,7 +82,7 @@ class ListEntry:
 
 
 class RealNode:
-    __slots__ = ("handle", "parent", "entry", "size", "_up", "_mark")
+    __slots__ = ("handle", "parent", "entry", "size", "_up")
 
     def __init__(self, handle: Any):
         self.handle = handle
@@ -90,16 +90,14 @@ class RealNode:
         self.entry: Optional[ListEntry] = None  # member entry in parent's list
         self.size = 1  # meaningful at roots only
         self._up: Optional[RealNode] = None  # merge link; None at the live node
-        self._mark = False
 
 
 class CycleNode:
-    __slots__ = ("parent_entry", "origin", "_mark")
+    __slots__ = ("parent_entry", "origin")
 
     def __init__(self, origin: OriginCycle):
         self.parent_entry: Optional[ListEntry] = None
         self.origin = origin
-        self._mark = False
 
 
 class CactusForest:

@@ -45,9 +45,11 @@ class at the surviving root, walking that class's circular member list
 `_next`; a vertex is relabelled only when its class at least doubles, so n
 vertices are relabelled O(n log n) times in total. The merge names the
 class's new leaf at the root and clears the loser's, so `_leaf` refers only
-to live leaves. A node's children are a list, and each child keeps its index
-in that list in `_pos`, so a merged-away child leaves in O(1): the last child
-moves into its slot.
+to live leaves. An internal node's children are a list, and each child keeps
+its index in that list in `_pos`, so a merged-away child leaves in O(1): the
+last child moves into its slot. A leaf holds no list: its `children` is the
+shared empty tuple, and a node gets its list with its first child
+(`_new_node`), so the engine keeps one list per internal node.
 """
 
 from __future__ import annotations
@@ -68,7 +70,9 @@ class DecompNode:
 
     def __init__(self, parent: Optional["DecompNode"]):
         self.parent = parent
-        self.children: list[DecompNode] = []
+        # () until the first child arrives (`_new_node`), and again once the
+        # node becomes a leaf
+        self.children: list[DecompNode] | tuple[()] = ()
         self.level = 0 if parent is None else parent.level + 1
         self._pos = 0  # index in parent.children
         # forest node inside the parent's forest: a 2-ecc's block-tree node,
@@ -99,8 +103,12 @@ class DecompTree:
 
     def _new_node(self, parent: DecompNode) -> DecompNode:
         node = DecompNode(parent)
-        node._pos = len(parent.children)
-        parent.children.append(node)
+        kids = parent.children
+        if kids:
+            node._pos = len(kids)
+            kids.append(node)
+        else:
+            parent.children = [node]
         return node
 
     # -- vertex / query surface ------------------------------------------
@@ -237,8 +245,10 @@ class DecompTree:
             c1 = self._new_node(self.root)
         for i, v in enumerate((x, y)):
             if ends[i] is None:
-                # an edgeless vertex is its own class's root
-                leaf = self._leaf[v - 1] = self._new_pair(c1, v - 1)
+                # an edgeless vertex is its own class's root: the int stored
+                # there names the class, and no new int is made
+                r = self._root[v - 1]
+                leaf = self._leaf[r] = self._new_pair(c1, r)
                 ends[i] = leaf.parent
         self._bf.join_trees(ends[0].fnode, ends[1].fnode, (x, y))
 
@@ -349,10 +359,10 @@ class DecompTree:
             # nca was the only 2-ecc below `grand`: grand itself is the new leaf
             leaves = self._collect_leaves(grand)
             self._unite_leaves(leaves, grand)
-            grand.children = []
+            grand.children = ()
         else:
             leaves = self._collect_leaves(nca, keep=z_real)
-            nca.children = []
+            nca.children = ()
             d = self._new_node(nca)
             self._unite_leaves(leaves, d)
             # the compressed cactus is now a single real node; rebind it
@@ -433,7 +443,8 @@ class DecompTree:
     # -- structural audit -------------------------------------------------------
 
     def validate(self) -> None:
-        """Debug audit: levels, handle bijections, the class lists'
+        """Debug audit: levels, child lists (a childless node holds `()`, a
+        parent a list), handle bijections, the class lists'
         quick-find invariant (every vertex points at its class's root, whose
         member list holds exactly the vertices pointing at it and whose
         `_size` counts them; `_classes` counts the roots), the leaf/class
@@ -447,15 +458,19 @@ class DecompTree:
         while stack:
             node = stack.pop()
             kind = node.level % 3
+            kids = node.children
             if node.dsu_item is not None:
-                if node.children:
+                if kids:
                     raise DecompError(f"leaf {node} has children")
                 if kind != 0:
                     raise DecompError(f"leaf {node} is not a 3-ecc")
                 leaves.append(node)
-            elif not node.children and node is not self.root:
+            elif not kids and node is not self.root:
                 raise DecompError(f"internal {node} has no children")
-            for i, ch in enumerate(node.children):
+            if type(kids) is not (list if kids else tuple):
+                # a childless node shares (), a parent holds a list
+                raise DecompError(f"{node} holds {kids!r} as its children")
+            for i, ch in enumerate(kids):
                 if ch.parent is not node:
                     raise DecompError(f"parent link broken at {ch}")
                 if ch._pos != i:

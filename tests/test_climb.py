@@ -7,12 +7,11 @@ up = attrgetter("parent")
 
 
 class Node:
-    __slots__ = ("name", "parent", "_mark")
+    __slots__ = ("name", "parent")
 
     def __init__(self, name, parent=None):
         self.name = name
         self.parent = parent
-        self._mark = False
 
     def __repr__(self):
         return f"Node({self.name})"
@@ -27,44 +26,44 @@ def chain(length, top=None):
     return nodes
 
 
-def assert_unmarked(*nodes):
-    assert not any(n._mark for n in nodes)
+def meet(x, y, up):
+    """meet_paths(x, y, up), checked to leave no state behind: a second call
+    on the same nodes returns equal paths."""
+    paths = meet_paths(x, y, up)
+    assert meet_paths(x, y, up) == paths
+    return paths
 
 
 def test_ancestor_and_descendant():
     a, b, c, d = chain(4)
-    assert meet_paths(b, d, up) == ([b], [d, c, b])
-    assert meet_paths(d, b, up) == ([d, c, b], [b])
-    assert_unmarked(a, b, c, d)
+    assert meet(b, d, up) == ([b], [d, c, b])
+    assert meet(d, b, up) == ([d, c, b], [b])
 
 
 def test_siblings_meet_at_parent():
     root = Node("r")
     a, b = Node("a", root), Node("b", root)
     a1 = Node("a1", a)
-    assert meet_paths(a1, b, up) == ([a1, a, root], [b, root])
-    assert meet_paths(a, b, up) == ([a, root], [b, root])
-    assert_unmarked(root, a, b, a1)
+    assert meet(a1, b, up) == ([a1, a, root], [b, root])
+    assert meet(a, b, up) == ([a, root], [b, root])
 
 
 def test_shallow_side_climbs_past_the_meet():
     # y reaches the root long before x reaches their meeting node; the
     # nodes y climbed past the meet are not part of its path
     above = chain(5)
-    meet = Node("m", above[-1])
-    y = Node("y", meet)
-    deep = chain(8, meet)
-    path_x, path_y = meet_paths(deep[-1], y, up)
-    assert path_x == deep[::-1] + [meet]
-    assert path_y == [y, meet]
-    assert_unmarked(*above, meet, y, *deep)
+    m = Node("m", above[-1])
+    y = Node("y", m)
+    deep = chain(8, m)
+    path_x, path_y = meet(deep[-1], y, up)
+    assert path_x == deep[::-1] + [m]
+    assert path_y == [y, m]
 
 
 def test_disjoint_trees():
     left, right = chain(3), chain(5)
-    assert meet_paths(left[-1], right[-1], up) is None
-    assert meet_paths(left[0], right[0], up) is None
-    assert_unmarked(*left, *right)
+    assert meet(left[-1], right[-1], up) is None
+    assert meet(left[0], right[0], up) is None
 
 
 def test_cactus_meet_at_cycle_node():
@@ -74,9 +73,8 @@ def test_cactus_meet_at_cycle_node():
     # the last of equally large cactuses becomes the parent of the new cycle
     (cyc,) = cf.cycles()
     assert cf.representative(cyc.parent_entry.real) is d
-    path_a, path_c = meet_paths(a, c, cf._up)
+    path_a, path_c = meet(a, c, cf._up)
     assert path_a == [a, cyc] and path_c == [c, cyc]
     assert isinstance(path_a[-1], CycleNode)
-    assert meet_paths(a, d, cf._up) == ([a, cyc, d], [d])
-    assert meet_paths(a, cf.new_node("e"), cf._up) is None
-    assert_unmarked(a, b, c, d, cyc)
+    assert meet(a, d, cf._up) == ([a, cyc, d], [d])
+    assert meet(a, cf.new_node("e"), cf._up) is None

@@ -36,7 +36,7 @@ def test_edgeless_vertex_holds_no_tree_nodes():
     assert [tree.insert_vertex() for _ in range(50)] == list(range(1, 51))
     # one union-find slot each, and no tree or forest node
     assert _engine_objects() == before
-    assert tree.root.children == []
+    assert tree.root.children == ()
     tree.validate()
     # still a singleton class to every query
     assert tree.same_max_3ec(1, 1) and not tree.same_max_3ec(1, 2)
@@ -79,7 +79,7 @@ def test_first_edges_after_the_root_condenses():
     # K4 on 1..4 condenses the whole tree into the root while 5 and 6 are
     # still edgeless; their first edges must demote the root's class
     tree = _check_each_step(6, K4_EDGES)
-    assert tree.root.dsu_item is not None and tree.root.children == []
+    assert tree.root.dsu_item is not None and tree.root.children == ()
     assert tree.partition() == [{1, 2, 3, 4}, {5}, {6}]
     tree = _check_each_step(
         6, K4_EDGES + [(5, 6), (6, 1), (5, 2), (6, 3), (5, 4), (5, 6)]
@@ -525,9 +525,37 @@ def test_engine_holds_only_live_structure(n, edges):
         }
 
 
+@pytest.mark.parametrize(
+    "n, edges",
+    [_seeded_clusters(), (128, staircase_sequence(128))],
+    ids=["planted-2000", "staircase-128"],
+)
+def test_only_internal_nodes_hold_child_lists(n, edges):
+    # the live structure's shape: one `children` list per internal tree
+    # node, the shared () at every leaf, and no per-node climb mark in the
+    # forests, whose climb keeps its visited nodes to itself
+    tree = _insert_all(n, edges)
+    nodes = []
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        stack.extend(node.children)
+    internal = [nd for nd in nodes if nd.dsu_item is None]
+    lists = {id(nd.children) for nd in nodes if type(nd.children) is list}
+    assert len(lists) == len(internal)
+    assert all(nd.children == () for nd in nodes if nd.dsu_item is not None)
+    for kind in (BlockTreeNode, RealNode, CycleNode):
+        assert "_mark" not in kind.__slots__
+
+
 def _give_leaf_a_child(tree, by_level):
     leaf = by_level[3][0]
-    leaf.children.append(DecompNode(leaf))
+    leaf.children = [DecompNode(leaf)]
+
+
+def _give_leaf_a_list(tree, by_level):
+    by_level[3][0].children = []
 
 
 def _reparent_grandchild_to_root(tree, by_level):
@@ -558,7 +586,7 @@ def _swap_leaf_items(tree, by_level):
 def _make_2ecc_a_leaf(tree, by_level):
     node = by_level[2][0]
     node.dsu_item = node.children[0].dsu_item
-    node.children = []
+    node.children = ()
 
 
 def _stale_child_slot(tree, by_level):
@@ -632,6 +660,7 @@ def _forget_live_cycles(tree, by_level):
     "corrupt",
     [
         _give_leaf_a_child,
+        _give_leaf_a_list,
         _reparent_grandchild_to_root,
         _clear_block_handle,
         _clear_cactus_handle,
@@ -664,5 +693,9 @@ def test_validate_catches_corruption(corrupt):
         stack.extend(node.children)
     assert [len(by_level[lv]) for lv in range(4)] == [1, 1, 2, 5]
     corrupt(tree, by_level)
-    with pytest.raises(DecompError):
+    match = {
+        _give_leaf_a_child: "has children",
+        _give_leaf_a_list: r"holds \[\] as its children",
+    }.get(corrupt)
+    with pytest.raises(DecompError, match=match):
         tree.validate()
