@@ -15,7 +15,13 @@ A merged real node links straight under the live node it merges into
 (`_merge`), through an `_up` link kept on the node itself, so a merged set's
 root is its live node. Stored real-node references must be resolved to it,
 `_set_root(x)` (what `representative` returns, with path compression),
-before use. A dropped node stays its set's root, so it still reads
+before use; the forest calls `_set_root` only on a node whose `_up` is set.
+`compress_cycle_path`, `join_cactuses` and `root_path` climb to a cactus
+root with one local loop, `_climb`, which resolves each cycle's parent on
+the way and, for `join_cactuses` and `root_path`, records the path that a
+reroot walks. `join_cactuses` takes each end's live node, path, root and
+size in one pass and checks that the roots differ before it changes
+anything. A dropped node stays its set's root, so it still reads
 `is_live`, but it loses its handle. A cycle stores no parent of its
 own: its parent is the live node of its parent entry's real node,
 `representative(cyc.parent_entry.real)`, so no merge leaves a stale cycle
@@ -119,10 +125,10 @@ class CactusForest:
 
     def root_path(self, node: RealNode) -> list:
         """Alternating real/cycle nodes from `node` up to its cactus root."""
-        path: list = [_set_root(node)]
-        while (cyc := path[-1].parent) is not None:
-            path.append(cyc)
-            path.append(_set_root(cyc.parent_entry.real))
+        if node._up is not None:
+            node = _set_root(node)
+        path: list = [node]
+        self._climb(node, path)
         return path
 
     def cycles(self) -> set[CycleNode]:
@@ -140,8 +146,10 @@ class CactusForest:
         Every involved cycle is squeezed at its two path members; residual
         2-entry lists where the members coincide are dissolved.
         """
-        x = _set_root(x)
-        y = _set_root(y)
+        if x._up is not None:
+            x = _set_root(x)
+        if y._up is not None:
+            y = _set_root(y)
         if x is y:
             raise SameNodeError("cycle-path endpoints coincide")
         paths = meet_paths(x, y, self._up)
@@ -150,7 +158,8 @@ class CactusForest:
 
         up_x, up_y = paths
         meet = up_x[-1]
-        if isinstance(meet, RealNode):
+        at_real = type(meet) is RealNode
+        if at_real:
             reals_x = up_x[::2]
             reals_y = up_y[::2]
             nodes = reals_x + reals_y[-2::-1]
@@ -159,22 +168,23 @@ class CactusForest:
             reals_y = up_y[:-1:2]
             nodes = reals_x + reals_y[::-1]
 
+        # each (child, cycle, ancestor) step below the meet squeezes the
+        # child into the ancestor; a meet cycle squeezes its two path members.
+        # The climb returned live real nodes, and a squeeze merges only its
+        # child, so every real node a later squeeze is given is still live
         payloads: list[Any] = []
         for part in (up_x, up_y):
-            stop = len(part) - 1 if isinstance(meet, RealNode) else len(part) - 2
+            stop = len(part) - 1 if at_real else len(part) - 2
             for i in range(0, stop - 1, 2):
-                child = _set_root(part[i])
-                anc = _set_root(part[i + 2])
                 cyc = part[i + 1]
-                payloads.extend(self._squeeze(child, anc, cyc.parent_entry, cyc))
-        if isinstance(meet, CycleNode):
-            u = _set_root(up_x[-2])
-            v = _set_root(up_y[-2])
-            payloads.extend(self._squeeze(u, v, v.entry, meet))
+                payloads += self._squeeze(part[i], part[i + 2], cyc.parent_entry, cyc)
+        if not at_real:
+            v = up_y[-2]
+            payloads += self._squeeze(up_x[-2], v, v.entry, meet)
 
         merged = _set_root(x)
         assert merged is _set_root(y)
-        self.root_path(merged)[-1].size -= len(nodes) - 1
+        self._climb(merged).size -= len(nodes) - 1
         # the caller binds a fresh handle to the merged node; the stale one
         # stays readable so returned path nodes still identify themselves
         return nodes, payloads, merged
@@ -183,44 +193,72 @@ class CactusForest:
         """Link k >= 2 pairwise distinct cactuses with a new cycle x1..xk.
 
         payloads[i] is carried by the cycle edge (x_i, x_{i+1 mod k}). Every
-        cactus except a largest is rerooted at its attachment node.
+        cactus except a largest, the last one among equals, is rerooted at
+        its attachment node.
         """
         k = len(xs)
         if k < 2 or len(payloads) != k:
             raise CactusError("need k >= 2 nodes and k payloads")
-        lives = [_set_root(x) for x in xs]
-        paths = [self.root_path(r) for r in lives]
-        roots = [p[-1] for p in paths]
-        if len({id(r) for r in roots}) != k:
-            raise DuplicateCactusError("attachment nodes share a cactus")
+        # one pass over the ends: live node, root path, root and size, with
+        # the duplicate check before anything changes
+        paths = []
+        roots = set()
+        big = most = total = 0
+        for i, x in enumerate(xs):
+            if x._up is not None:
+                x = _set_root(x)
+            path = [x]
+            root = self._climb(x, path)
+            if root in roots:
+                raise DuplicateCactusError("attachment nodes share a cactus")
+            roots.add(root)
+            paths.append(path)
+            size = root.size
+            total += size
+            if size >= most:
+                big, most = i, size
 
-        big = max(range(k), key=lambda i: (roots[i].size, i))
-        total = sum(r.size for r in roots)
-        for i in range(k):
-            if i != big:
-                self._reroot(paths[i])
-
-        cyc = CycleNode(OriginCycle())
-        entries = [ListEntry(r) for r in lives]
-        for i in range(k):
-            e, nxt = entries[i], entries[(i + 1) % k]
-            e.right = nxt
-            nxt.left = e
+        # the cycle is made before its origin record: a dissolved cycle frees
+        # its origin and then itself, so the allocator hands the cycle's
+        # block to the new cycle, whose hash then lands on the dead cycle's
+        # slot in `_cycles`, and that set's table does not grow with churn
+        cyc = CycleNode(None)
+        cyc.origin = OriginCycle()
+        entries = [ListEntry(path[0]) for path in paths]
+        prev = entries[-1]
+        for i, e in enumerate(entries):
+            prev.right = e
+            e.left = prev
             e.right_edge = payloads[i]
-        for i in range(k):
-            if i != big:
-                lives[i].parent = cyc
-                lives[i].entry = entries[i]
-        cyc.parent_entry = entries[big]
+            prev = e
+            if i == big:
+                cyc.parent_entry = e
+                paths[i][-1].size = total
+            else:
+                self._reroot(paths[i])
+                e.real.parent = cyc
+                e.real.entry = e
         self._cycles.add(cyc)
-        roots[big].size = total
 
     # -- climbing ----------------------------------------------------------
 
+    def _climb(self, node: RealNode, path: Optional[list] = None) -> RealNode:
+        """Root of the live node's cactus, resolving each cycle's parent on
+        the way; with `path`, every cycle and real node above `node` is
+        appended to it."""
+        while (cyc := node.parent) is not None:
+            node = cyc.parent_entry.real
+            if node._up is not None:
+                node = _set_root(node)
+            if path is not None:
+                path += cyc, node
+        return node
+
     def _up(self, node):
-        if isinstance(node, RealNode):
+        if type(node) is RealNode:
             return node.parent
-        return _set_root(node.parent_entry.real)
+        real = node.parent_entry.real
+        return real if real._up is None else _set_root(real)
 
     # -- squeezing ----------------------------------------------------------
 
@@ -330,7 +368,10 @@ class CactusForest:
         pe = cyc.parent_entry
         for e in arc:
             if e is not pe:
-                _set_root(e.real).parent = new_cyc
+                real = e.real
+                if real._up is not None:
+                    real = _set_root(real)
+                real.parent = new_cyc
         if pe in arc:
             # the arc takes cyc's parent; v joins it through the fresh entry
             # and cyc hangs from v through ve

@@ -24,7 +24,10 @@ leaves, climbing the deeper one to the other's level and then both together,
 and rewrites only that node's attached structure; interconnection edges that
 fall inside a freshly merged 3-ecc go on a worklist of owed insertions, which
 `insert_edge` drains before it returns. Each re-insertion pushes its edge to
-a deeper level, so no call stack grows with the depth of the tree.
+a deeper level, so no call stack grows with the depth of the tree. An owed
+entry is the edge's `(x, y)` tuple, the one `insert_edge` made or the payload
+a merge handed back, and `_insert` passes it on whole as the payload the
+forests keep, so a re-insertion builds no new tuple.
 
 A node that leaves the tree, merged into a sibling or dropped with a
 condensed subtree, lets go of its children and its forest node lets go of
@@ -54,6 +57,7 @@ shared empty tuple, and a node gets its list with its first child
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Optional
 
 from .blockforest import BlockForest
@@ -126,22 +130,20 @@ class DecompTree:
         return self.n_vertices
 
     def _new_pair(self, c1: DecompNode, item: int) -> DecompNode:
-        """Fresh 2-ecc/3-ecc pair below the 1-ecc `c1`; returns the 3-ecc,
-        a leaf holding `item`, which the caller labels with it."""
+        """Fresh 2-ecc/3-ecc pair below the 1-ecc `c1`, whose 3-ecc is the
+        new leaf of `item`'s class; returns the 2-ecc."""
         c2 = self._new_node(c1)
-        c3 = self._new_node(c2)
+        c3 = DecompNode(c2)
+        c2.children = [c3]
         c2.fnode = self._bf.new_node(c2)
         c3.fnode = self._cf.new_node(c3)
         c3.dsu_item = item
-        return c3
+        self._leaf[self._root[item]] = c3
+        return c2
 
     def _check_vertex(self, v: int) -> None:
         if not (type(v) is int and 1 <= v <= self.n_vertices):
             raise UnknownVertexError(f"unknown vertex {v}")
-
-    def _leaf_of(self, v: int) -> Optional[DecompNode]:
-        """Leaf holding the checked vertex v, None while v is edgeless."""
-        return self._leaf[self._root[v - 1]]
 
     def same_max_3ec(self, x: int, y: int) -> bool:
         n = self.n_vertices
@@ -182,126 +184,133 @@ class DecompTree:
         if x == y:
             raise SelfLoopError(f"self-loop at vertex {x}")
         root, leaf = self._root, self._leaf
-        leaf_x = leaf[root[x - 1]]
-        leaf_y = leaf[root[y - 1]]
+        rx, ry = root[x - 1], root[y - 1]
+        leaf_x, leaf_y = leaf[rx], leaf[ry]
         if leaf_x is None or leaf_y is None:
-            self._attach(x, y)
-            return
-        if leaf_x is not leaf_y:
+            self._attach(rx, ry, (x, y))
+        elif leaf_x is leaf_y:
+            self.total_insert_calls += 1
+        else:
             self.affecting_insertions += 1
-        # edges still owed an insertion; merges push displaced edges here
-        owed = self._owed = [(x, y)]
-        while owed:
-            self._insert(*owed.pop())
+            # edges still owed an insertion; merges push displaced edges
+            # here. Each entry is the payload the forests keep for its edge
+            owed = self._owed = [(x, y)]
+            while owed:
+                self._insert(owed.pop())
 
-    def _insert(self, x: int, y: int) -> None:
+    def _insert(self, edge: tuple[int, int]) -> None:
         self.total_insert_calls += 1
+        x, y = edge
         root, leaf = self._root, self._leaf
         leaf_x = leaf[root[x - 1]]
         leaf_y = leaf[root[y - 1]]
         if leaf_x is leaf_y:
             return
-        nca, path_x, path_y = self._nca(leaf_x, leaf_y)
+        # the deeper leaf climbs to the other's level, then both climb
+        # together to the two children of their nearest common ancestor
+        a, b = leaf_x, leaf_y
+        while a.level > b.level:
+            a = a.parent
+        while b.level > a.level:
+            b = b.parent
+        while a.parent is not b.parent:
+            a = a.parent
+            b = b.parent
+        nca = a.parent
         kind = nca.level % 3
-        if kind == 0:  # the root or a 3-ecc
-            self._insert_at_component(path_x, path_y, x, y)
-            return
-        if kind == 1:
-            self._insert_at_1ecc(nca, path_x, path_y, x, y)
-            return
-        # nca is a 2-ecc node: compress the cycle-path on its cactus
-        c1, c2 = path_x[-1], path_y[-1]
-        q_nodes, q_payloads, z_real = self._cf.compress_cycle_path(c1.fnode, c2.fnode)
-        if len(q_nodes) == len(nca.children):
-            # the whole 2-ecc became 3-edge-connected
-            self._condense(nca, z_real)
-            return
-        # repeat the insertion after the displaced edges; it now lands
-        # strictly deeper
-        self._owed.append((x, y))
-        self._merge3ecc([q.handle for q in q_nodes], q_payloads, z_real)
+        if kind == 0:
+            # the root or a 3-ecc: the edge bridges its 1-ecc children a and
+            # b, so their block trees link at the 2-eccs holding x and y
+            lvl2 = a.level + 1
+            while leaf_x.level > lvl2:
+                leaf_x = leaf_x.parent
+            while leaf_y.level > lvl2:
+                leaf_y = leaf_y.parent
+            self._bf.join_trees(leaf_x.fnode, leaf_y.fnode, edge)
+            self._merge_siblings([a, b])
+        elif kind == 1:
+            self._insert_at_1ecc(nca, a, b, edge)
+        else:
+            # a 2-ecc: compress the cycle-path on its cactus
+            q_nodes, q_payloads, z_real = self._cf.compress_cycle_path(a.fnode, b.fnode)
+            if len(q_nodes) == len(nca.children):
+                # the whole 2-ecc became 3-edge-connected
+                self._condense(nca, z_real)
+                return
+            # repeat the insertion after the displaced edges; it now lands
+            # strictly deeper
+            self._owed.append(edge)
+            self._merge3ecc([q.handle for q in q_nodes], q_payloads, z_real)
 
-    def _attach(self, x: int, y: int) -> None:
-        """First edge at an edgeless end: it bridges two components, so it is
-        affecting and lands at the root. Each edgeless end gets a 2-ecc/3-ecc
-        pair under the other end's 1-ecc, or under one fresh 1-ecc when both
-        are edgeless, and the block trees link in the caller's orientation."""
+    def _attach(self, rx: int, ry: int, edge: tuple[int, int]) -> None:
+        """First edge at an edgeless end, whose class roots are rx and ry:
+        it bridges two components, so it is affecting and lands at the root.
+        Each edgeless end gets a 2-ecc/3-ecc pair under the other end's
+        1-ecc, or under one fresh 1-ecc when both are edgeless, and the block
+        trees link in the caller's orientation."""
         self.total_insert_calls += 1
         self.affecting_insertions += 1
-        if self.root.dsu_item is not None:
+        top = self.root
+        if top.dsu_item is not None:
             # the rest of the graph had condensed into the root; its class
             # moves down so the root can take the new component
-            self._expand_leaf(self.root)
-        ends = []
-        c1 = None
-        for v in (x, y):
-            node = self._leaf_of(v)
-            if node is not None:
-                while node.level > 2:
-                    node = node.parent
-                c1 = node.parent
-            ends.append(node)
-        if c1 is None:
-            c1 = self._new_node(self.root)
-        for i, v in enumerate((x, y)):
-            if ends[i] is None:
-                # an edgeless vertex is its own class's root: the int stored
-                # there names the class, and no new int is made
-                r = self._root[v - 1]
-                leaf = self._leaf[r] = self._new_pair(c1, r)
-                ends[i] = leaf.parent
-        self._bf.join_trees(ends[0].fnode, ends[1].fnode, (x, y))
+            self._expand_leaf(top)
+        leaf = self._leaf
+        leaf_x, leaf_y = leaf[rx], leaf[ry]  # None at an edgeless end
+        c2 = leaf_y if leaf_x is None else leaf_x  # the end with edges, if any
+        if c2 is None:
+            c1 = self._new_node(top)
+        else:
+            while c2.level > 2:
+                c2 = c2.parent
+            c1 = c2.parent
+        # an edgeless vertex is its own class's root: the int stored there
+        # names the class, and no new int is made
+        bx = c2 if leaf_x is not None else self._new_pair(c1, rx)
+        by = c2 if leaf_y is not None else self._new_pair(c1, ry)
+        self._bf.join_trees(bx.fnode, by.fnode, edge)
 
-    def _insert_at_component(self, path_x, path_y, x: int, y: int) -> None:
-        """The new edge bridges two connected components: merge the 1-ecc
-        children and link their block trees at the 2-eccs holding x and y."""
-        c1, c2 = path_x[-1], path_y[-1]
-        u2, v2 = path_x[-2], path_y[-2]
-        self._bf.join_trees(u2.fnode, v2.fnode, (x, y))
-        self._merge_siblings([c1, c2])
-
-    def _insert_at_1ecc(self, nca, path_x, path_y, x: int, y: int) -> None:
-        """The new edge joins two 2-eccs: compress the block-tree path,
-        merge cycle-paths inside every 2-ecc along it, then merge them all
-        and join their cactuses along the induced cycle."""
-        c1, c2 = path_x[-1], path_y[-1]
+    def _insert_at_1ecc(self, nca, c1, c2, edge: tuple[int, int]) -> None:
+        """The new edge joins the 2-eccs c1 and c2 below the 1-ecc `nca`:
+        compress the block-tree path, merge cycle-paths inside every 2-ecc
+        along it, then merge them all and join their cactuses along the
+        induced cycle."""
         b_nodes, b_payloads, z_bt = self._bf.compress_path(c1.fnode, c2.fnode)
         xs = [bn.handle for bn in b_nodes]
 
-        # the 3-eccs where the path enters and leaves each xs[i]: bridge i
-        # leaves xs[i] at the end whose 3-ecc hangs from xs[i] and enters
-        # xs[i + 1] at the other
+        # the 3-eccs of x, of both ends of each bridge on the path, and of y;
+        # bridge i leaves xs[i] at the end whose 3-ecc hangs from xs[i] and
+        # enters xs[i + 1] at the other, so with each bridge's pair in that
+        # order d3[2i] and d3[2i + 1] are where the path enters and leaves
+        # xs[i]
+        root, leaf = self._root, self._leaf
         lvl3 = nca.level + 2
-        enters = [self._ancestor_at(x, lvl3)]
-        exits = []
-        for i, (u, v) in enumerate(b_payloads):
-            du = self._ancestor_at(u, lvl3)
-            dv = self._ancestor_at(v, lvl3)
-            if du.parent is xs[i]:
-                exits.append(du)
-                enters.append(dv)
-            else:
-                exits.append(dv)
-                enters.append(du)
-        exits.append(self._ancestor_at(y, lvl3))
+        d3 = []
+        for v in (edge[0], *chain.from_iterable(b_payloads), edge[1]):
+            d = leaf[root[v - 1]]
+            while d.level > lvl3:
+                d = d.parent
+            d3.append(d)
+        for i in range(1, len(d3) - 1, 2):
+            if d3[i].parent is not xs[i >> 1]:
+                d3[i], d3[i + 1] = d3[i + 1], d3[i]
 
-        merged3 = []
-        for a, b in zip(enters, exits):
+        reals = []  # the cactus node of each merged 3-ecc, in path order
+        for a, b in zip(d3[::2], d3[1::2]):
             if a is b:
-                merged3.append(a)
+                reals.append(a.fnode)
                 continue
-            q_nodes, q_payloads, z_real = self._cf.compress_cycle_path(
-                a.fnode, b.fnode
-            )
-            d = self._merge3ecc([q.handle for q in q_nodes], q_payloads, z_real)
-            merged3.append(d)
+            q_nodes, q_payloads, z_real = self._cf.compress_cycle_path(a.fnode, b.fnode)
+            self._merge3ecc([q.handle for q in q_nodes], q_payloads, z_real)
+            reals.append(z_real)
 
         survivor = self._merge_siblings(xs)
         z_bt.handle = survivor
         survivor.fnode = z_bt
-        self._cf.join_cactuses([d.fnode for d in merged3], b_payloads + [(x, y)])
+        b_payloads.append(edge)
+        self._cf.join_cactuses(reals, b_payloads)
 
-    def _merge3ecc(self, d_nodes, payloads, z_real) -> DecompNode:
+    def _merge3ecc(self, d_nodes, payloads, z_real) -> None:
         """Merge 3-ecc siblings into one node and owe a re-insertion to the
         cactus edges that became internal to it. Former leaves get a fresh
         trivial chain first, so the merged node's subtree decomposes them
@@ -314,12 +323,11 @@ class DecompTree:
         survivor.fnode = z_real
         # stacked in reverse so they are re-inserted in payload order
         self._owed.extend(reversed(payloads))
-        return survivor
 
     def _expand_leaf(self, d: DecompNode) -> None:
         item = d.dsu_item
         d.dsu_item = None
-        self._leaf[self._root[item]] = self._new_pair(self._new_node(d), item)
+        self._new_pair(self._new_node(d), item)
 
     def _merge_siblings(self, nodes: list[DecompNode]) -> DecompNode:
         """Redirect children of the smaller nodes into the one with the most
@@ -327,9 +335,11 @@ class DecompTree:
         merged their forest nodes and binds the merged one to the survivor,
         so none of the old forest nodes keeps its handle."""
         survivor = nodes[0]
+        most = len(survivor.children)
         for nd in nodes:
-            if len(nd.children) > len(survivor.children):
+            if len(nd.children) > most:
                 survivor = nd
+                most = len(nd.children)
         kids = survivor.children
         siblings = survivor.parent.children
         for nd in nodes:
@@ -411,34 +421,6 @@ class DecompTree:
             self._classes -= 1
         leaf[ra] = new_leaf
         new_leaf.dsu_item = ra
-
-    # -- tree navigation ------------------------------------------------------
-
-    def _nca(self, leaf_x: DecompNode, leaf_y: DecompNode):
-        """(nca, path from leaf_x, path from leaf_y); each path stops at a
-        child of the nca. The deeper leaf climbs to the other's level, then
-        both climb together."""
-        path_x, path_y = [leaf_x], [leaf_y]
-        while leaf_x.level > leaf_y.level:
-            leaf_x = leaf_x.parent
-            path_x.append(leaf_x)
-        while leaf_y.level > leaf_x.level:
-            leaf_y = leaf_y.parent
-            path_y.append(leaf_y)
-        while leaf_x is not leaf_y:
-            leaf_x, leaf_y = leaf_x.parent, leaf_y.parent
-            path_x.append(leaf_x)
-            path_y.append(leaf_y)
-        path_y.pop()
-        return path_x.pop(), path_x, path_y
-
-    def _ancestor_at(self, v: int, level: int) -> DecompNode:
-        node = self._leaf_of(v)
-        while node.level > level:
-            node = node.parent
-        if node.level != level:
-            raise DecompError(f"vertex {v} has no ancestor at level {level}")
-        return node
 
     # -- structural audit -------------------------------------------------------
 

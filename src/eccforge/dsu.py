@@ -4,7 +4,8 @@ The block and cactus forests merge their nodes through `_up` links kept on
 the node objects (None at a set root). A merge links each dead node straight
 under the live one, which is a set root at that moment, so a set's root is
 always its live node and no find runs at link time. `_set_root` climbs a
-node's `_up` links and compresses the path it climbed. Without union by size
+node's `_up` links and compresses the path it climbed; the forests test
+`_up` first and call it only on a merged node. Without union by size
 path compression alone is amortized O(log_{1+f/n} n) per find (Tarjan and
 van Leeuwen, JACM 1984); the merged sets here are small. No table lists the
 nodes, and links point only from dead nodes towards the live one, so a

@@ -89,6 +89,23 @@ def test_join_reroots_smaller_and_payloads_survive():
     assert payloads == ["xy", "bridge", "st", "rs"]
 
 
+def test_join_of_equal_trees_reroots_x_tree():
+    # two trees of two nodes, joined at their non-root ends: x's tree is
+    # rerooted at x and hangs under y, and y's tree keeps its root
+    bf = BlockForest()
+    x, rx = bf.new_node("x"), bf.new_node("rx")
+    bf.join_trees(x, rx, "x-rx")
+    y, ry = bf.new_node("y"), bf.new_node("ry")
+    bf.join_trees(y, ry, "y-ry")
+    assert bf.root_path(x) == [x, rx] and bf.root_path(y) == [y, ry]
+    touches = bf.reroot_touches
+    bf.join_trees(x, y, "xy")
+    assert bf.root_path(rx) == [rx, x, y, ry]
+    assert (rx.edge, x.edge, y.edge, ry.edge) == ("x-rx", "xy", "y-ry", None)
+    assert ry.size == 4
+    assert bf.reroot_touches - touches == 2
+
+
 def test_merged_nodes_let_go():
     bf = BlockForest()
     a, b, c, d = (bf.new_node(k) for k in "abcd")

@@ -190,6 +190,49 @@ def test_join_deep_node_reroots():
     assert root.size == 4
 
 
+def test_join_keeps_the_last_largest_root_and_reroots_the_others():
+    # cactuses of sizes 2, 3 and 3, each joined at a node below its root:
+    # the last size-3 cactus keeps its root, the other two are rerooted at
+    # their attachment nodes and hang from the new cycle
+    cf = CactusForest()
+    a1, a2 = cf.new_node("a1"), cf.new_node("a2")
+    cf.join_cactuses([a1, a2], ["a12", "a21"])
+    b1, b2, b3 = (cf.new_node(k) for k in ("b1", "b2", "b3"))
+    cf.join_cactuses([b1, b2, b3], ["b12", "b23", "b31"])
+    c1, c2, c3 = (cf.new_node(k) for k in ("c1", "c2", "c3"))
+    cf.join_cactuses([c1, c2, c3], ["c12", "c23", "c31"])
+    roots = [cf.root_path(x)[-1] for x in (a1, b1, c1)]
+    assert roots == [a2, b3, c3] and [r.size for r in roots] == [2, 3, 3]
+    touches = cf.reroot_touches
+    cf.join_cactuses([a1, b1, c1], ["ab", "bc", "ca"])
+    cf.check_lists()
+    (cyc,) = [cyc for cyc in cf.cycles() if cyc.parent_entry.real is c1]
+    assert c3.parent is None and c3.size == 8
+    assert all(cf.root_path(x)[-1] is c3 for x in (a1, a2, b1, b2, b3, c1, c2))
+    assert a1.parent is cyc and b1.parent is cyc
+    assert a2.parent is not None and b3.parent is not None
+    # two root paths of three nodes each (end, cycle, old root)
+    assert cf.reroot_touches - touches == 6
+
+
+def test_join_with_two_ends_in_one_cactus_changes_nothing():
+    cf = CactusForest()
+    a, c, x = (cf.new_node(k) for k in "acx")
+    cf.join_cactuses([a, c, x], ["ac", "cx", "xa"])
+    b, y = cf.new_node("b"), cf.new_node("y")
+    cf.join_cactuses([b, y], ["by", "yb"])
+
+    def state():
+        links = [(n.parent, n.entry, n.size) for n in (a, b, c, x, y)]
+        return expanded_counter(cf), cf.cycles(), links, cf.reroot_touches
+
+    before = state()
+    with pytest.raises(DuplicateCactusError):
+        cf.join_cactuses([a, b, c], ["ab", "bc", "ca"])
+    cf.check_lists()
+    assert state() == before
+
+
 def test_sibling_squeeze_with_parent_entry_in_segment():
     # compress two non-adjacent members of one cycle so the walk's shorter
     # arc contains the cycle's parent entry; both walk orientations, each

@@ -30,6 +30,19 @@ def as_sets(partition):
     return set(map(frozenset, partition))
 
 
+def _leaf_of(tree, v):
+    """The leaf holding vertex v, None while v is edgeless."""
+    return tree._leaf[tree._root[v - 1]]
+
+
+def _ancestor_at(tree, v, level):
+    node = _leaf_of(tree, v)
+    while node.level > level:
+        node = node.parent
+    assert node.level == level, f"vertex {v} has no ancestor at level {level}"
+    return node
+
+
 def test_edgeless_vertex_holds_no_tree_nodes():
     tree = DecompTree()
     before = _engine_objects()
@@ -51,8 +64,8 @@ def test_edgeless_vertex_holds_no_tree_nodes():
         assert c2.level == 2 and c2.fnode is not None
         (c3,) = c2.children
         assert c3.level == 3 and c3.dsu_item is not None and c3.fnode is not None
-    assert {tree._leaf_of(1), tree._leaf_of(2)} == {c2.children[0] for c2 in c1.children}
-    assert tree._leaf_of(3) is None
+    assert {_leaf_of(tree, 1), _leaf_of(tree, 2)} == {c2.children[0] for c2 in c1.children}
+    assert _leaf_of(tree, 3) is None
     assert (tree.total_insert_calls, tree.affecting_insertions) == (1, 1)
     assert tree.count() == 50
     tree.validate()
@@ -341,8 +354,8 @@ def test_merge_opposite_cycle_members_no_reinsertion():
     g.add_edge(1, 3)
     # one user call plus exactly one internal repeat after the merge
     assert tree.total_insert_calls == calls_before + 2
-    d1 = tree._ancestor_at(1, 3)
-    assert d1 is tree._ancestor_at(3, 3)
+    d1 = _ancestor_at(tree, 1, 3)
+    assert d1 is _ancestor_at(tree, 3, 3)
     assert d1.dsu_item is None
     # the two expanded chains were linked by the repeated insertion, so the
     # merged 3-ecc node now holds one component with a 2-node block tree
@@ -364,8 +377,8 @@ def test_merge_adjacent_cycle_members_one_reinsertion():
     g.add_edge(1, 2)
     # user call + one re-insertion of the displaced edge + one repeat
     assert tree.total_insert_calls == calls_before + 3
-    d = tree._ancestor_at(1, 3)
-    assert d is tree._ancestor_at(2, 3)
+    d = _ancestor_at(tree, 1, 3)
+    assert d is _ancestor_at(tree, 2, 3)
     assert set(map(frozenset, tree.partition())) == maximal_kec_bruteforce(
         g, 3
     ).as_sets()
@@ -516,7 +529,7 @@ def test_engine_holds_only_live_structure(n, edges):
     if len(edged) < n:
         # vertices that never got an edge hold no tree or forest node: the
         # engine keeps exactly what it keeps without them
-        assert all(tree._leaf_of(v) is None for v in range(1, n + 1) if v not in edged)
+        assert all(_leaf_of(tree, v) is None for v in range(1, n + 1) if v not in edged)
         del tree
         base = _engine_objects()
         without, _ = build(edges, max(edged))
