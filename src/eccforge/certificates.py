@@ -7,21 +7,44 @@ forest of the graph minus F_1..F_{i-1}. The union E' of F_1..F_t, with
 t = ceil(4*k*log2(n)), contains every edge whose endpoints lie in different
 maximal k-edge-connected subgraphs; F_{t+1}..F_{t+k} are then a k-forest
 decomposition of the rest, so F_1..F_{t+k} together are a k-certificate.
+
+`k_certificate` returns a `CertificateReport` with two fields: `certificate`,
+the spanning subgraph F_1..F_{t+k}, and `eprime`, the edge ids of E'.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 
 from .graph import Multigraph
 
 
-@dataclass
 class CertificateReport:
-    certificate: Multigraph
-    eprime: set[int]  # superset of the k-interconnection edges
+    """A k-certificate and E', a superset of its k-interconnection edges.
+
+    A plain class, not a dataclass, so that importing the library does not
+    load `dataclasses` and the `inspect` / `ast` / `dis` modules behind it;
+    construction, `==` and `repr` are the ones a dataclass would generate.
+    """
+
+    __slots__ = ("certificate", "eprime")
+    __match_args__ = __slots__
+
+    def __init__(self, certificate: Multigraph, eprime: set[int]) -> None:
+        self.certificate = certificate
+        self.eprime = eprime
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.certificate, self.eprime) == (other.certificate, other.eprime)
+
+    def __repr__(self) -> str:
+        return (
+            f"{self.__class__.__qualname__}(certificate={self.certificate!r}, "
+            f"eprime={self.eprime!r})"
+        )
 
 
 def forest_decomposition(g: Multigraph, t: int) -> list[set[int]]:

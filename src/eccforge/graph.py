@@ -1,6 +1,7 @@
 """Undirected multigraph with stable vertex/edge ids, plus text serialization.
 
-Vertex and edge ids are dense positive integers assigned in insertion order.
+Vertex and edge ids are dense positive integers assigned in insertion order;
+a vertex id must be an `int` itself, so `True` or `2.0` names no vertex.
 Edge ids are never reused after removal. Self-loops are rejected; parallel
 edges are allowed and each carries its own id.
 """
@@ -49,7 +50,7 @@ class Multigraph:
         return self._n
 
     def add_edge(self, u: int, v: int) -> int:
-        if u not in self._adj or v not in self._adj:
+        if not (type(u) is int and type(v) is int and u in self._adj and v in self._adj):
             raise UnknownVertexError(f"unknown endpoint in ({u}, {v})")
         if u == v:
             raise SelfLoopError(f"self-loop at vertex {u}")
@@ -90,13 +91,12 @@ class Multigraph:
             raise UnknownEdgeError(f"unknown edge {eid}") from None
 
     def has_vertex(self, v: int) -> bool:
-        return v in self._adj
+        return type(v) is int and v in self._adj
 
     def incident(self, v: int) -> list[int]:
-        try:
+        if type(v) is int and v in self._adj:
             return self._adj[v]
-        except KeyError:
-            raise UnknownVertexError(f"unknown vertex {v}") from None
+        raise UnknownVertexError(f"unknown vertex {v}")
 
     def _other(self, eid: int, v: int) -> int:
         a, b = self._edges[eid]

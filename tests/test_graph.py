@@ -1,5 +1,7 @@
+from collections import Counter
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from eccforge.graph import (
     Multigraph,
@@ -39,6 +41,21 @@ def test_add_edge_errors():
         g.add_edge(1, 1)
     with pytest.raises(UnknownVertexError):
         g.add_edge(1, 9)
+
+
+def test_add_edge_rejects_non_int_ids():
+    g = Multigraph()
+    for _ in range(3):
+        g.add_vertex()
+    g.add_edge(1, 2)
+    for u, v in ((True, 2), (1.0, 3), (2.0, 3), (3, True)):
+        with pytest.raises(UnknownVertexError):
+            g.add_edge(u, v)
+        assert g.m == 1
+    assert not g.has_vertex(True) and not g.has_vertex(1.0)
+    with pytest.raises(UnknownVertexError):
+        g.incident(True)
+    assert serialize_graph(g) == "p 3 1\ne 1 2\n"
 
 
 def test_remove_edge_roundtrip():
@@ -113,6 +130,37 @@ def test_invariants_hold_under_random_ops(ops):
                 g.remove_edge(eid)
     g.validate()
     assert sum(len(g.incident(v)) for v in g.vertex_ids()) == 2 * g.m
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.just(("av",)),
+            st.tuples(st.just("ae"), st.integers(1, 6), st.integers(1, 6)),
+            st.tuples(st.just("rm"), st.integers(0, 30)),
+        ),
+        max_size=40,
+    )
+)
+def test_serialize_parse_roundtrip(ops):
+    g = Multigraph()
+    for op in ops:
+        if op[0] == "av":
+            g.add_vertex()
+        elif op[0] == "ae":
+            if op[1] != op[2] and g.has_vertex(op[1]) and g.has_vertex(op[2]):
+                g.add_edge(op[1], op[2])
+        elif g.m:
+            eids = sorted(g.edge_ids())
+            g.remove_edge(eids[op[1] % len(eids)])
+    h = parse_graph(serialize_graph(g))
+    assert h.n == g.n
+
+    def edges(x):
+        return Counter(map(x.endpoints, x.edge_ids()))
+
+    assert edges(h) == edges(g)
 
 
 def test_subgraph_with_edges_preserves_ids():
