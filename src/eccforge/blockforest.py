@@ -10,18 +10,18 @@ representative the next time `parent_of` or the root climb reads it, and a
 merged node drops its own tree links, so the forest holds no reference to a
 dead node beyond the stale pointers still waiting to be read. A dropped node
 (`_drop`) stays its set's root, so it still reads `is_live`, but it loses its
-handle. Tree sizes live on roots. `compress_path`, `join_trees` and
-`root_path` find a tree's root with one local loop, `_climb`, which also
-leaves every parent pointer on the way live, so `_reroot` then reverses the
-links from the new root upward without a path list. Path discovery is the
-two-pointer climb of `climb.meet_paths`, shared with the cactus forest, which
-records the nodes it passes in a set of its own, so it costs O(|path|)
-without any depth bookkeeping or mark on the nodes.
+handle. Tree sizes live on roots. `compress_path` and `root_path` find a
+tree's root with one local loop, `_climb`. `join_trees`, the whole of a
+component join in this forest, runs the same loop for both ends and then
+reroots the smaller tree in its own frame: the climb leaves every parent
+pointer on the way live, so the reroot reverses the links from the new root
+upward without a path list. Path discovery is the two-pointer climb of
+`climb.meet_paths`, shared with the cactus forest, which records the nodes
+it passes in a set of its own, so it costs O(|path|) without any depth
+bookkeeping or mark on the nodes.
 """
 
 from __future__ import annotations
-
-from typing import Any, Optional
 
 from .climb import meet_paths
 from .dsu import _set_root
@@ -46,19 +46,19 @@ class SameTreeError(BlockTreeError):
 class BlockTreeNode:
     __slots__ = ("handle", "parent", "edge", "size", "_up")
 
-    def __init__(self, handle: Any):
+    def __init__(self, handle: object):
         self.handle = handle
-        self.parent: Optional[BlockTreeNode] = None
-        self.edge: Any = None  # payload of (self, parent); None at roots
+        self.parent: BlockTreeNode | None = None
+        self.edge: object = None  # payload of (self, parent); None at roots
         self.size = 1  # meaningful at roots only
-        self._up: Optional[BlockTreeNode] = None  # merge link; None at the live node
+        self._up: BlockTreeNode | None = None  # merge link; None at the live node
 
 
 class BlockForest:
     def __init__(self) -> None:
         self.reroot_touches = 0  # nodes handed over across all rerootings
 
-    def new_node(self, handle: Any) -> BlockTreeNode:
+    def new_node(self, handle: object) -> BlockTreeNode:
         return BlockTreeNode(handle)
 
     # -- resolution helpers -------------------------------------------
@@ -69,7 +69,7 @@ class BlockForest:
     def is_live(self, node: BlockTreeNode) -> bool:
         return node._up is None
 
-    def parent_of(self, node: BlockTreeNode) -> Optional[BlockTreeNode]:
+    def parent_of(self, node: BlockTreeNode) -> BlockTreeNode | None:
         p = node.parent
         if p is not None and p._up is not None:
             p = node.parent = _set_root(p)
@@ -87,7 +87,7 @@ class BlockForest:
 
     def compress_path(
         self, x: BlockTreeNode, y: BlockTreeNode
-    ) -> tuple[list[BlockTreeNode], list[Any], BlockTreeNode]:
+    ) -> tuple[list[BlockTreeNode], list[object], BlockTreeNode]:
         """Merge the whole tree path from x to y into one node.
 
         Returns (path nodes ordered from x to y, their edge payloads in path
@@ -120,29 +120,50 @@ class BlockForest:
         # stays readable so returned path nodes still identify themselves
         return nodes, payloads, meet
 
-    def join_trees(self, x: BlockTreeNode, y: BlockTreeNode, payload: Any) -> None:
+    def join_trees(self, x: BlockTreeNode, y: BlockTreeNode, payload: object) -> None:
         """Link two trees with an edge (x, y) carrying `payload`.
 
         The smaller tree, x's when the two are equal, is rerooted at its
         endpoint (payloads handed child to parent along the way) and hung
-        under the other endpoint.
+        under the other endpoint. Both climbs and the reroot run here, with
+        no helper call, since a component join does little else.
         """
         if x._up is not None:
             x = _set_root(x)
         if y._up is not None:
             y = _set_root(y)
-        rx = self._climb(x)
-        ry = self._climb(y)
+        # each stale parent pointer read on the way up is rewritten to its
+        # live node, so the reroot below walks only live links
+        rx = x
+        while (p := rx.parent) is not None:
+            if p._up is not None:
+                p = rx.parent = _set_root(p)
+            rx = p
+        ry = y
+        while (p := ry.parent) is not None:
+            if p._up is not None:
+                p = ry.parent = _set_root(p)
+            ry = p
         if rx is ry:
             raise SameTreeError("nodes already in one tree")
         if rx.size <= ry.size:
-            self._reroot(x)
-            x.parent, x.edge = y, payload
+            node, top = x, y
             ry.size += rx.size
         else:
-            self._reroot(y)
-            y.parent, y.edge = x, payload
+            node, top = y, x
             rx.size += ry.size
+        # `node` becomes its tree's root, hung under `top`; each node on the
+        # way up takes the payload of the edge to the node below it, per the
+        # child-to-parent handover rule
+        parent, edge = node.parent, node.edge
+        node.parent, node.edge = top, payload
+        touches = 1
+        while parent is not None:
+            above, above_edge = parent.parent, parent.edge
+            parent.parent, parent.edge = node, edge
+            node, parent, edge = parent, above, above_edge
+            touches += 1
+        self.reroot_touches += touches
 
     # -- internals -------------------------------------------------------
 
@@ -151,7 +172,7 @@ class BlockForest:
         handle, so reference counting frees its merged set."""
         node.handle = None
 
-    def _climb(self, node: BlockTreeNode, path: Optional[list] = None) -> BlockTreeNode:
+    def _climb(self, node: BlockTreeNode, path: list | None = None) -> BlockTreeNode:
         """Root of the live node's tree. Each stale parent pointer read on
         the way is rewritten to its live node; with `path`, every node above
         `node` is appended to it."""
@@ -162,17 +183,3 @@ class BlockForest:
                 path.append(p)
             node = p
         return node
-
-    def _reroot(self, node: BlockTreeNode) -> None:
-        # `node` becomes the root, its parents already live (`_climb`); each
-        # node on the way up takes the payload of the edge to the node below
-        # it, per the child-to-parent handover rule
-        parent, edge = node.parent, node.edge
-        node.parent = node.edge = None
-        touches = 1
-        while parent is not None:
-            above, above_edge = parent.parent, parent.edge
-            parent.parent, parent.edge = node, edge
-            node, parent, edge = parent, above, above_edge
-            touches += 1
-        self.reroot_touches += touches

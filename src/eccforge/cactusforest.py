@@ -46,8 +46,6 @@ arc's members change cycle, so a split costs O(shorter arc).
 
 from __future__ import annotations
 
-from typing import Any, Optional
-
 from .climb import meet_paths
 from .dsu import _set_root
 
@@ -84,25 +82,25 @@ class ListEntry:
         self.real = real
         self.left: "ListEntry" = self
         self.right: "ListEntry" = self
-        self.right_edge: Any = None  # payload of the edge towards self.right
+        self.right_edge: object = None  # payload of the edge towards self.right
 
 
 class RealNode:
     __slots__ = ("handle", "parent", "entry", "size", "_up")
 
-    def __init__(self, handle: Any):
+    def __init__(self, handle: object):
         self.handle = handle
-        self.parent: Optional[CycleNode] = None
-        self.entry: Optional[ListEntry] = None  # member entry in parent's list
+        self.parent: CycleNode | None = None
+        self.entry: ListEntry | None = None  # member entry in parent's list
         self.size = 1  # meaningful at roots only
-        self._up: Optional[RealNode] = None  # merge link; None at the live node
+        self._up: RealNode | None = None  # merge link; None at the live node
 
 
 class CycleNode:
     __slots__ = ("parent_entry", "origin")
 
     def __init__(self, origin: OriginCycle):
-        self.parent_entry: Optional[ListEntry] = None
+        self.parent_entry: ListEntry | None = None
         self.origin = origin
 
 
@@ -112,7 +110,7 @@ class CactusForest:
         self.reroot_touches = 0
         self.walk_touches = 0  # list entries stepped over by split walks
 
-    def new_node(self, handle: Any) -> RealNode:
+    def new_node(self, handle: object) -> RealNode:
         return RealNode(handle)
 
     # -- resolution helpers ---------------------------------------------
@@ -138,7 +136,7 @@ class CactusForest:
 
     def compress_cycle_path(
         self, x: RealNode, y: RealNode
-    ) -> tuple[list[RealNode], list[Any], RealNode]:
+    ) -> tuple[list[RealNode], list[object], RealNode]:
         """Merge the cycle-path from x to y into a single real node.
 
         Returns (cycle-path nodes ordered from x to y, payloads of the cactus
@@ -172,7 +170,7 @@ class CactusForest:
         # child into the ancestor; a meet cycle squeezes its two path members.
         # The climb returned live real nodes, and a squeeze merges only its
         # child, so every real node a later squeeze is given is still live
-        payloads: list[Any] = []
+        payloads: list[object] = []
         for part in (up_x, up_y):
             stop = len(part) - 1 if at_real else len(part) - 2
             for i in range(0, stop - 1, 2):
@@ -189,7 +187,7 @@ class CactusForest:
         # stays readable so returned path nodes still identify themselves
         return nodes, payloads, merged
 
-    def join_cactuses(self, xs: list[RealNode], payloads: list[Any]) -> None:
+    def join_cactuses(self, xs: list[RealNode], payloads: list[object]) -> None:
         """Link k >= 2 pairwise distinct cactuses with a new cycle x1..xk.
 
         payloads[i] is carried by the cycle edge (x_i, x_{i+1 mod k}). Every
@@ -242,7 +240,7 @@ class CactusForest:
 
     # -- climbing ----------------------------------------------------------
 
-    def _climb(self, node: RealNode, path: Optional[list] = None) -> RealNode:
+    def _climb(self, node: RealNode, path: list | None = None) -> RealNode:
         """Root of the live node's cactus, resolving each cycle's parent on
         the way; with `path`, every cycle and real node above `node` is
         appended to it."""
@@ -284,7 +282,7 @@ class CactusForest:
             e.left = e.right = e.real = None
             e = nxt
 
-    def _squeeze(self, u: RealNode, v: RealNode, ve: ListEntry, cyc: CycleNode) -> list[Any]:
+    def _squeeze(self, u: RealNode, v: RealNode, ve: ListEntry, cyc: CycleNode) -> list[object]:
         """Merge child member u of cyc into v, whose entry on cyc is ve.
 
         ve is v.entry when v is a sibling of u, cyc.parent_entry when v is the
@@ -402,7 +400,7 @@ class CactusForest:
 
     # -- introspection --------------------------------------------------------
 
-    def expanded_edges(self) -> list[tuple[RealNode, RealNode, Any]]:
+    def expanded_edges(self) -> list[tuple[RealNode, RealNode, object]]:
         """The explicit cactus edges (live endpoints, payload), one per
         circular-list link, across the whole forest."""
         out = []

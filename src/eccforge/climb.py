@@ -10,12 +10,12 @@ bookkeeping, and the climb writes nothing on the nodes.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from collections.abc import Callable
 
 
 def meet_paths(
-    x: Any, y: Any, up: Callable[[Any], Any]
-) -> Optional[tuple[list, list]]:
+    x: object, y: object, up: Callable[[object], object]
+) -> tuple[list, list] | None:
     """Paths from x and from y up to their meeting node, both inclusive.
 
     `up(node)` gives the parent of a node, or None at a root. Nodes must be

@@ -11,13 +11,23 @@ a block tree of their 2-eccs, and non-leaf 2-ecc nodes carry a cactus of
 their 3-eccs.
 
 A vertex with no edge yet is only a singleton class with no leaf, no tree
-node and no forest node, so `insert_vertex` is O(1). Its first edge takes the `_attach` path instead of the general
-insertion: such an edge always bridges two components, so `_attach` builds
-the edgeless end's 2-ecc/3-ecc pair under the other end's 1-ecc (both ends'
-pairs under one fresh 1-ecc when both are edgeless) and links the two block
-trees, with no common-ancestor climb and no sibling merge. The root, which
-may have condensed into a leaf while edgeless vertices waited, is expanded
-first.
+node and no forest node, so `insert_vertex` is O(1). Its first edge takes
+the `_attach` path instead of the general insertion: such an edge always
+bridges two components, so `_attach` builds the edgeless end's 2-ecc/3-ecc
+pair (`_new_pair`, which links its 2-ecc itself) under the other end's
+1-ecc (both ends' pairs under one fresh 1-ecc when both are edgeless) and
+links the two block trees, with no common-ancestor climb and no sibling
+merge. The root, which may have condensed into a leaf while edgeless
+vertices waited, is expanded first.
+
+The other component join, an edge between two leaves at level 3 whose 1-ecc
+ancestors differ, is a bridge at the root that owes no re-insertion, so
+`insert_edge` hands it to `_bridge` directly, without the worklist or the
+common-ancestor climb. `_bridge` is also `_insert`'s branch for a bridge at
+any root or 3-ecc: the block trees link (`join_trees` climbs both and
+reroots the smaller in its own frame), and the two 1-eccs merge in place,
+the one with more children surviving. The work is that of the general
+path: the same link orientation, reroot touches and counters.
 
 Edge insertion locates the nearest common ancestor of the two endpoint
 leaves, climbing the deeper one to the other's level and then both together,
@@ -58,7 +68,6 @@ shared empty tuple, and a node gets its list with its first child
 from __future__ import annotations
 
 from itertools import chain
-from typing import Optional
 
 from .blockforest import BlockForest
 from .cactusforest import CactusForest
@@ -72,7 +81,7 @@ class DecompError(Exception):
 class DecompNode:
     __slots__ = ("parent", "children", "level", "fnode", "dsu_item", "_pos")
 
-    def __init__(self, parent: Optional["DecompNode"]):
+    def __init__(self, parent: DecompNode | None):
         self.parent = parent
         # () until the first child arrives (`_new_node`), and again once the
         # node becomes a leaf
@@ -82,7 +91,7 @@ class DecompNode:
         # forest node inside the parent's forest: a 2-ecc's block-tree node,
         # a 3-ecc's cactus real node
         self.fnode = None
-        self.dsu_item: Optional[int] = None  # any vertex item of a leaf's class
+        self.dsu_item: int | None = None  # any vertex item of a leaf's class
 
     def __repr__(self) -> str:
         leaf = ", leaf" if self.dsu_item is not None else ""
@@ -94,7 +103,7 @@ class DecompTree:
         self.root = DecompNode(None)
         # the vertex classes, indexed by vertex - 1 (module docstring)
         self._root: list[int] = []  # the root of each vertex's class
-        self._leaf: list[Optional[DecompNode]] = []  # at a root: its class's leaf
+        self._leaf: list[DecompNode | None] = []  # at a root: its class's leaf
         self._size: list[int] = []  # at a root: its class's size
         self._next: list[int] = []  # circular member list of each class
         self._classes = 0
@@ -132,7 +141,13 @@ class DecompTree:
     def _new_pair(self, c1: DecompNode, item: int) -> DecompNode:
         """Fresh 2-ecc/3-ecc pair below the 1-ecc `c1`, whose 3-ecc is the
         new leaf of `item`'s class; returns the 2-ecc."""
-        c2 = self._new_node(c1)
+        c2 = DecompNode(c1)
+        kids = c1.children
+        if kids:
+            c2._pos = len(kids)
+            kids.append(c2)
+        else:
+            c1.children = [c2]
         c3 = DecompNode(c2)
         c2.children = [c3]
         c2.fnode = self._bf.new_node(c2)
@@ -190,6 +205,15 @@ class DecompTree:
             self._attach(rx, ry, (x, y))
         elif leaf_x is leaf_y:
             self.total_insert_calls += 1
+        elif leaf_x.level == 3 == leaf_y.level and (
+            (a := leaf_x.parent.parent) is not (b := leaf_y.parent.parent)
+        ):
+            # two leaves right under the root's 1-eccs, in different
+            # components: a bridge at the root that owes no re-insertion, so
+            # it skips the worklist and the common-ancestor climb
+            self.total_insert_calls += 1
+            self.affecting_insertions += 1
+            self._bridge(self.root, a, b, leaf_x.parent, leaf_y.parent, (x, y))
         else:
             self.affecting_insertions += 1
             # edges still owed an insertion; merges push displaced edges
@@ -226,8 +250,7 @@ class DecompTree:
                 leaf_x = leaf_x.parent
             while leaf_y.level > lvl2:
                 leaf_y = leaf_y.parent
-            self._bf.join_trees(leaf_x.fnode, leaf_y.fnode, edge)
-            self._merge_siblings([a, b])
+            self._bridge(nca, a, b, leaf_x, leaf_y, edge)
         elif kind == 1:
             self._insert_at_1ecc(nca, a, b, edge)
         else:
@@ -241,6 +264,27 @@ class DecompTree:
             # strictly deeper
             self._owed.append(edge)
             self._merge3ecc([q.handle for q in q_nodes], q_payloads, z_real)
+
+    def _bridge(self, nca, a, b, x2, y2, edge: tuple[int, int]) -> None:
+        """The edge bridges the 1-ecc children a and b of the root or 3-ecc
+        `nca` at their 2-eccs x2 and y2: the block trees link, and b's
+        2-eccs move into a, the 1-ecc with more children (a on a tie), in
+        place. A 1-ecc has no forest node to unbind."""
+        self._bf.join_trees(x2.fnode, y2.fnode, edge)
+        if len(b.children) > len(a.children):
+            a, b = b, a
+        kids = a.children
+        for ch in b.children:
+            ch.parent = a
+            ch._pos = len(kids)
+            kids.append(ch)
+        b.children = None
+        # the last sibling takes b's slot
+        siblings = nca.children
+        last = siblings.pop()
+        if last is not b:
+            siblings[b._pos] = last
+            last._pos = b._pos
 
     def _attach(self, rx: int, ry: int, edge: tuple[int, int]) -> None:
         """First edge at an edgeless end, whose class roots are rx and ry:

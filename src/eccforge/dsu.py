@@ -18,10 +18,8 @@ dead nodes alive.
 
 from __future__ import annotations
 
-from typing import Any
 
-
-def _set_root(node: Any) -> Any:
+def _set_root(node: object) -> object:
     """Root of a forest node's merged set, its live node, compressing the
     path to it."""
     root = node

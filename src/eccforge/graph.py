@@ -8,7 +8,7 @@ edges are allowed and each carries its own id.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 
 class GraphError(Exception):

@@ -8,8 +8,6 @@ the contraction-based static solver.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .graph import Multigraph, UnknownVertexError
 from .solver import Partition
 
@@ -39,7 +37,7 @@ class _FlowNet:
     def reset(self) -> None:
         self.cap = bytearray(self._caps0)
 
-    def max_flow(self, s: int, t: int, limit: Optional[int] = None) -> int:
+    def max_flow(self, s: int, t: int, limit: int | None = None) -> int:
         si, ti = self.index[s], self.index[t]
         flow = 0
         adj, to, cap = self.adj, self.to, self.cap

@@ -118,6 +118,51 @@ def test_first_edge_at_an_edgeless_end(first):
     _check_each_step(7, base + [first] + tail)
 
 
+@pytest.mark.parametrize("flip", [False, True], ids=["x-y", "y-x"])
+@pytest.mark.parametrize(
+    "n, edges, levels, work",
+    [
+        # two triangles, then a root bridge between level-3 leaves
+        (
+            6,
+            [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4), (3, 4)],
+            (3, 3),
+            (7, 7, 5, 4),
+        ),
+        # a doubled edge merges 4 and 5 into a 3-ecc whose leaves sit at
+        # level 6; the last edge is still a bridge at the root
+        (6, [(6, 5), (5, 4), (3, 1), (4, 6), (4, 5), (3, 5)], (3, 6), (8, 6, 5, 3)),
+        # the last edge merges 4 and 5 into a 3-ecc at level 3, and the owed
+        # (4, 5) bridges two 1-eccs below it
+        (5, [(5, 4), (3, 4), (4, 5), (5, 3)], (3, 3), (6, 4, 3, 3)),
+    ],
+    ids=["level-3-leaves", "level-6-leaf", "under-a-3-ecc"],
+)
+def test_component_join_boundary(n, edges, levels, work, flip):
+    # each stream ends in a component join; the leaf levels of the last
+    # edge's ends and the engine's work are the recorded ones
+    tree, g = DecompTree(), Multigraph()
+    for _ in range(n):
+        tree.insert_vertex()
+        g.add_vertex()
+    for u, v in edges:
+        if flip:
+            u, v = v, u
+        ends = tuple(lf and lf.level for lf in (_leaf_of(tree, u), _leaf_of(tree, v)))
+        tree.insert_edge(u, v)
+        g.add_edge(u, v)
+        tree.validate()
+    assert ends == (levels[::-1] if flip else levels)
+    assert as_sets(tree.partition()) == maximal_kec_bruteforce(g, 3).as_sets()
+    got = (
+        tree.total_insert_calls,
+        tree.affecting_insertions,
+        tree._bf.reroot_touches,
+        tree._cf.reroot_touches,
+    )
+    assert got == work
+
+
 def test_insert_edge_errors():
     tree = DecompTree()
     tree.insert_vertex()

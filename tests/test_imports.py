@@ -31,6 +31,19 @@ def test_import_loads_no_heavy_module():
     assert loaded.isdisjoint(HEAVY), sorted(loaded.intersection(HEAVY))
 
 
+def test_import_loads_no_typing():
+    # without site hooks nothing but the import itself can load `typing`;
+    # the library names its annotations with builtins and collections.abc
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    script = "import sys\nimport eccforge\nprint('typing' in sys.modules)\n"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
 def test_certificate_report_surface():
     g = Multigraph()
     by_position = CertificateReport(g, {1, 2})
