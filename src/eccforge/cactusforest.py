@@ -26,13 +26,15 @@ anything. A dropped node stays its set's root, so it still reads
 own: its parent is the live node of its parent entry's real node,
 `representative(cyc.parent_entry.real)`, so no merge leaves a stale cycle
 parent behind, and a merged node drops its own parent and entry links.
-Cycle nodes never merge. A cycle leaves `cycles()` when its 2-entry list
-dissolves in `_squeeze` or when the decomposition tree drops its cactus
-(`_drop` on a member), so the forest refers only to live cycles. Either way
-`_retire` cuts the ring once, clearing every entry's neighbour and real-node
-links, so reference counting frees the cycle as soon as nothing else holds
-it. The origin of each cycle keeps that join's walk budget, and
-`walk_touches` counts every walk step forest-wide.
+Cycle nodes never merge, and no registry lists them. A cycle retires when
+its 2-entry list dissolves in `_squeeze` or when the decomposition tree
+drops its cactus (`_drop` on a member): `_retire` cuts the ring once,
+clearing every entry's neighbour and real-node links, so a cycle is live
+while its parent entry has a real node, and reference counting frees it as
+soon as nothing else holds it. `cycles`, `expanded_edges` and `check_lists`
+walk from the real nodes they are given. The origin of each cycle keeps
+that join's walk budget, and `walk_touches` counts every walk step
+forest-wide.
 
 compress_cycle_path merges through one squeeze per cycle on the path,
 `_squeeze(u, v, ve, cyc)`: a child member u of cyc merges into v, whose entry
@@ -106,7 +108,6 @@ class CycleNode:
 
 class CactusForest:
     def __init__(self) -> None:
-        self._cycles: set[CycleNode] = set()
         self.reroot_touches = 0
         self.walk_touches = 0  # list entries stepped over by split walks
 
@@ -129,8 +130,9 @@ class CactusForest:
         self._climb(node, path)
         return path
 
-    def cycles(self) -> set[CycleNode]:
-        return set(self._cycles)
+    def cycles(self, *nodes: RealNode) -> set[CycleNode]:
+        """The cycles that `nodes` hang from; given all of a cactus's nodes, all its cycles."""
+        return {_set_root(r).parent for r in nodes} - {None}
 
     # -- operations -------------------------------------------------------
 
@@ -216,12 +218,7 @@ class CactusForest:
             if size >= most:
                 big, most = i, size
 
-        # the cycle is made before its origin record: a dissolved cycle frees
-        # its origin and then itself, so the allocator hands the cycle's
-        # block to the new cycle, whose hash then lands on the dead cycle's
-        # slot in `_cycles`, and that set's table does not grow with churn
-        cyc = CycleNode(None)
-        cyc.origin = OriginCycle()
+        cyc = CycleNode(OriginCycle())
         entries = [ListEntry(path[0]) for path in paths]
         prev = entries[-1]
         for i, e in enumerate(entries):
@@ -236,7 +233,6 @@ class CactusForest:
                 self._reroot(paths[i])
                 e.real.parent = cyc
                 e.real.entry = e
-        self._cycles.add(cyc)
 
     # -- climbing ----------------------------------------------------------
 
@@ -269,13 +265,13 @@ class CactusForest:
         its handle and the cycle it hangs from retires. Reference counting
         then frees both."""
         node.handle = None
-        if node.parent in self._cycles:
-            self._retire(node.parent)
+        cyc = node.parent
+        if cyc is not None and cyc.parent_entry.real is not None:
+            self._retire(cyc)
 
     def _retire(self, cyc: CycleNode) -> None:
-        """Forget cyc and cut its ring: every entry lets go of its
-        neighbours and its real node, so no entry keeps another alive."""
-        self._cycles.remove(cyc)
+        """Cut cyc's ring: every entry lets go of its neighbours and its
+        real node, so no entry keeps another alive."""
         e = cyc.parent_entry
         while e is not None:
             nxt = e.right
@@ -345,7 +341,6 @@ class CactusForest:
         """
         z_at_v, arc = self._shorter_arc(ue, ve, cyc.origin)
         new_cyc = CycleNode(cyc.origin)
-        self._cycles.add(new_cyc)
         nve = ListEntry(v)
         first, last = arc[0], arc[-1]
         nve.left = first
@@ -400,40 +395,37 @@ class CactusForest:
 
     # -- introspection --------------------------------------------------------
 
-    def expanded_edges(self) -> list[tuple[RealNode, RealNode, object]]:
+    def expanded_edges(self, *nodes: RealNode) -> list[tuple[RealNode, RealNode, object]]:
         """The explicit cactus edges (live endpoints, payload), one per
-        circular-list link, across the whole forest."""
+        circular-list link, of the cycles that `nodes` hang from."""
         out = []
-        for cyc in self._cycles:
-            e = cyc.parent_entry
+        for cyc in self.cycles(*nodes):
+            pe = e = cyc.parent_entry
             while True:
-                out.append(
-                    (
-                        self.representative(e.real),
-                        self.representative(e.right.real),
-                        e.right_edge,
-                    )
-                )
+                out.append((_set_root(e.real), _set_root(e.right.real), e.right_edge))
                 e = e.right
-                if e is cyc.parent_entry:
+                if e is pe:
                     break
         return out
 
-    def check_lists(self) -> None:
-        """Ring-level invariants: link symmetry, list length >= 2, member
+    def check_lists(self, *nodes: RealNode) -> None:
+        """Ring-level invariants of the cycles that `nodes` hang from: link
+        symmetry (a retired ring has no links), list length >= 2, member
         entries bound bidirectionally."""
-        for cyc in self._cycles:
-            e = cyc.parent_entry
+        for cyc in self.cycles(*nodes):
+            pe = e = cyc.parent_entry
             length = 0
             while True:
-                if e.right.left is not e or e.left.right is not e:
-                    raise CactusError(f"broken ring links in {cyc}")
-                r = self.representative(e.real)
-                if e is not cyc.parent_entry and (r.entry is not e or r.parent is not cyc):
+                # a right walk that checks every link back returns to pe
+                nxt = e.right
+                if nxt is None or nxt.left is not e:
+                    raise CactusError(f"broken or retired ring in {cyc}")
+                r = _set_root(e.real)
+                if e is not pe and (r.entry is not e or r.parent is not cyc):
                     raise CactusError(f"member binding broken in {cyc}")
                 length += 1
-                e = e.right
-                if e is cyc.parent_entry:
+                e = nxt
+                if e is pe:
                     break
             if length < 2:
                 raise CactusError(f"cycle {cyc} shorter than 2")

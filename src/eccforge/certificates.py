@@ -94,8 +94,8 @@ def k_certificate(g: Multigraph, k: int) -> CertificateReport:
     k-interconnection edge; the certificate is F_1..F_{t+k}, E' plus a
     k-forest decomposition of g minus E'.
     """
-    if k < 3:
-        raise ValueError("k must be >= 3")
+    if type(k) is not int or k < 3:
+        raise ValueError("k must be an int >= 3")
     t = superset_forest_count(g.n, k)
     forests = forest_decomposition(g, t + k)
     eprime = set().union(*forests[:t])

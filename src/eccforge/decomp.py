@@ -70,7 +70,7 @@ from __future__ import annotations
 from itertools import chain
 
 from .blockforest import BlockForest
-from .cactusforest import CactusForest
+from .cactusforest import CactusError, CactusForest
 from .graph import SelfLoopError, UnknownVertexError
 
 
@@ -475,11 +475,10 @@ class DecompTree:
         member list holds exactly the vertices pointing at it and whose
         `_size` counts them; `_classes` counts the roots), the leaf/class
         correspondence (every class is a leaf's or an edgeless vertex's
-        singleton, and only roots keep a leaf), and that the cactus forest
-        holds exactly the cycles of the live cactuses. Raises DecompError on
-        any violation."""
+        singleton, and only roots keep a leaf), and the rings of every live
+        cactus (`CactusForest.check_lists` on its nodes). Raises DecompError
+        on any violation."""
         leaves = []
-        cycles = set()
         stack = [self.root]
         while stack:
             node = stack.pop()
@@ -508,10 +507,6 @@ class DecompTree:
                 self._check_binding(node, self._bf)
             elif kind == 2:
                 self._check_binding(node, self._cf)
-                cycles.update(ch.fnode.parent for ch in node.children)
-        cycles.discard(None)
-        if cycles != self._cf.cycles():
-            raise DecompError("cactus forest cycles differ from the live cactuses'")
         root, leaf, size, nxt = self._root, self._leaf, self._size, self._next
         n = self.n_vertices
         if not len(root) == len(leaf) == len(size) == len(nxt) == n:
@@ -548,13 +543,18 @@ class DecompTree:
 
     def _check_binding(self, node: DecompNode, forest) -> None:
         """The children of `node` are bound one-to-one, through `fnode`, to
-        the nodes of one tree of `forest` (block trees or cactuses)."""
-        roots = set()
-        for ch in node.children:
-            fnode = ch.fnode
+        the nodes of one tree of `forest` (block trees or cactuses), and a
+        cactus's rings hold, checked before its root climbs read them."""
+        fnodes = [ch.fnode for ch in node.children]
+        for ch, fnode in zip(node.children, fnodes):
             if fnode is None or not forest.is_live(fnode) or fnode.handle is not ch:
                 raise DecompError(f"forest binding broken under {node}")
-            roots.add(forest.root_path(fnode)[-1])
+        if forest is self._cf:
+            try:
+                forest.check_lists(*fnodes)
+            except CactusError as exc:
+                raise DecompError(f"cactus under {node}: {exc}") from None
+        roots = {forest.root_path(fnode)[-1] for fnode in fnodes}
         if len(roots) != 1:
             raise DecompError(f"children of {node} span several trees")
         if roots.pop().size != len(node.children):

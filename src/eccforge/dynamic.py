@@ -224,8 +224,8 @@ class SparsTree:
     """
 
     def __init__(self, g: Multigraph, k: int):
-        if k < 1:
-            raise ValueError("k must be >= 1")
+        if type(k) is not int or k < 1:
+            raise ValueError("k must be an int >= 1")
         self.k = k
         self.rebuilds = 1
         self.full_solves = 1

@@ -102,8 +102,8 @@ def edge_connectivity(g: Multigraph, u: int, v: int) -> int:
 def kecc_partition(g: Multigraph, k: int) -> Partition:
     """The k-edge-connected components: equivalence classes of lambda >= k
     measured in the whole graph."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if type(k) is not int or k < 1:
+        raise ValueError("k must be an int >= 1")
     classes: list[set[int]] = []
     for comp in g.connected_components():
         items = [it for it in _edge_items(g) if it[1] in comp]
@@ -133,8 +133,8 @@ def maximal_kec_bruteforce(g: Multigraph, k: int) -> Partition:
     lambda(r, v) for one fixed r against all v suffices, since any cut of
     G[S] separates r from something.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if type(k) is not int or k < 1:
+        raise ValueError("k must be an int >= 1")
     classes: list[set[int]] = []
     stack: list[tuple[set[int], list]] = []
     all_items = _edge_items(g)

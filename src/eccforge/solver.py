@@ -88,8 +88,8 @@ def kec_classes(adj: dict[int, dict[int, int]], vertices, k: int) -> list[set[in
     (vertex -> {neighbour: multiplicity}) restricted to `vertices`, a set (or
     keys view) of keys of adj. Edges that leave `vertices` are ignored; adj
     is not changed."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if type(k) is not int or k < 1:
+        raise ValueError("k must be an int >= 1")
     if len(vertices) == len(adj):  # all of adj
         own = {v: row.copy() for v, row in adj.items()}
     else:

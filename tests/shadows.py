@@ -285,7 +285,7 @@ def live_cactus_state(cf, created):
     frozen = {rid: frozenset(s) for rid, s in classes.items()}
     part = set(frozen.values())
     edges = Counter()
-    for a, b, payload in cf.expanded_edges():
+    for a, b, payload in cf.expanded_edges(*created):
         key = frozenset({frozen[a], frozen[b]})
         edges[(key, payload)] += 1
     return part, edges, frozen

@@ -342,7 +342,7 @@ def _cactus_shadow_ops(rng, steps):
             assert [frozen[n] for n in nodes] == want_nodes
             assert Counter(payloads) == want_removed
             ops += 1
-        cf.check_lists()
+        cf.check_lists(*created)
         part, edges, _ = live_cactus_state(cf, created)
         assert part == shadow.partition()
         assert edges == shadow.edge_counter()
@@ -394,7 +394,7 @@ def test_criterion_8_work_bounds():
     cf = CactusForest()
     nodes = [cf.new_node(i) for i in range(k)]
     cf.join_cactuses(nodes, list(range(k)))
-    (cycle,) = cf.cycles()
+    (cycle,) = cf.cycles(*nodes)
     origin = cycle.origin
     live = list(nodes)
     while True:
@@ -430,9 +430,9 @@ def test_criterion_8_work_bounds():
                 continue
             pays = list(range(payload, payload + kk))
             payload += kk
-            before = cf2.cycles()
+            before = cf2.cycles(*created)
             cf2.join_cactuses(picks, pays)
-            (cycle,) = cf2.cycles() - before
+            (cycle,) = cf2.cycles(*created) - before
             origins.append((cycle.origin, kk))
         else:
             x, y = rng2.sample(created, 2)

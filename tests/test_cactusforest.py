@@ -21,9 +21,9 @@ def ring4(cf=None):
     return cf, a, b, c, d
 
 
-def expanded_counter(cf):
+def expanded_counter(cf, *nodes):
     out = Counter()
-    for x, y, p in cf.expanded_edges():
+    for x, y, p in cf.expanded_edges(*nodes):
         out[(frozenset({x, y}), p)] += 1
     return out
 
@@ -45,24 +45,24 @@ def test_join_two_singletons_two_cycle():
     cf = CactusForest()
     a, b = cf.new_node("a"), cf.new_node("b")
     cf.join_cactuses([a, b], ["p", "q"])
-    cf.check_lists()
+    cf.check_lists(a, b)
     nodes, payloads, z = cf.compress_cycle_path(a, b)
     assert set(nodes) == {a, b}
     assert sorted(payloads) == ["p", "q"]
     assert cf.representative(a) is z
-    assert not cf.cycles()
+    assert not cf.cycles(a, b)
 
 
 def test_join_three_singletons_triangle():
     cf = CactusForest()
     a, b, c = (cf.new_node(k) for k in "abc")
     cf.join_cactuses([a, b, c], ["ab", "bc", "ca"])
-    cf.check_lists()
+    cf.check_lists(a, b, c)
     nodes, payloads, z = cf.compress_cycle_path(a, b)
     assert nodes == [a, b]
     assert payloads == ["ab"]
     # residual 2-cycle between the merged node and c
-    assert expanded_counter(cf) == Counter(
+    assert expanded_counter(cf, a, b, c) == Counter(
         {(frozenset({z, c}), "bc"): 1, (frozenset({z, c}), "ca"): 1}
     )
 
@@ -74,7 +74,7 @@ def test_four_cycle_opposite_compress():
     assert payloads == []
     assert cf.representative(a) is z
     # residual: two 2-cycles (z,b) and (z,d)
-    assert expanded_counter(cf) == Counter(
+    assert expanded_counter(cf, a, b, c, d) == Counter(
         {
             (frozenset({z, b}), "ab"): 1,
             (frozenset({z, b}), "bc"): 1,
@@ -82,7 +82,7 @@ def test_four_cycle_opposite_compress():
             (frozenset({z, d}), "da"): 1,
         }
     )
-    cf.check_lists()
+    cf.check_lists(a, b, c, d)
 
 
 def test_four_cycle_adjacent_compress():
@@ -91,14 +91,14 @@ def test_four_cycle_adjacent_compress():
     assert nodes == [a, b]
     assert payloads == ["ab"]
     # residual 3-cycle (z, c, d)
-    assert expanded_counter(cf) == Counter(
+    assert expanded_counter(cf, a, b, c, d) == Counter(
         {
             (frozenset({z, c}), "bc"): 1,
             (frozenset({c, d}), "cd"): 1,
             (frozenset({z, d}), "da"): 1,
         }
     )
-    cf.check_lists()
+    cf.check_lists(a, b, c, d)
 
 
 def test_two_triangles_shared_node():
@@ -108,12 +108,12 @@ def test_two_triangles_shared_node():
     cf.join_cactuses([x, u1, m], ["x-u1", "u1-m", "m-x"])
     y, u2 = cf.new_node("y"), cf.new_node("u2")
     cf.join_cactuses([y, u2, m], ["y-u2", "u2-m", "m-y"])
-    cf.check_lists()
+    cf.check_lists(x, u1, m, y, u2)
     nodes, payloads, z = cf.compress_cycle_path(x, y)
     assert nodes == [x, m, y]
     assert sorted(payloads) == ["m-x", "m-y"]
     # residuals: 2-cycles (z,u1) and (z,u2)
-    assert expanded_counter(cf) == Counter(
+    assert expanded_counter(cf, x, u1, m, y, u2) == Counter(
         {
             (frozenset({z, u1}), "x-u1"): 1,
             (frozenset({z, u1}), "u1-m"): 1,
@@ -127,12 +127,12 @@ def test_squeeze_two_cycle_dissolves():
     cf = CactusForest()
     a, b = cf.new_node("a"), cf.new_node("b")
     cf.join_cactuses([a, b], ["p", "q"])
-    cyc = next(iter(cf.cycles()))
+    cyc = next(iter(cf.cycles(a, b)))
     child = a if a.parent is cyc else b
     parent = b if child is a else a
     _nodes, payloads, _z = cf.compress_cycle_path(child, parent)
     assert sorted(payloads) == ["p", "q"]
-    assert not cf.cycles()
+    assert not cf.cycles(a, b)
     assert cf.representative(child) is cf.representative(parent)
 
 
@@ -149,22 +149,67 @@ def test_dissolved_two_cycle_leaves_no_cyclic_garbage():
     finally:
         gc.enable()
     assert gc.collect() == 0
-    assert not cf.cycles() and cf.representative(a) is z
+    assert not cf.cycles(a, b) and cf.representative(a) is z
+    # dropping every member of a cactus, as the decomposition tree drops a
+    # discarded one, cuts each of its rings exactly once, and a drop that
+    # reaches an already cut ring does nothing; the collector is off, so
+    # reference counting alone frees what the drops let go
+    gc.disable()
+    try:
+        assert _drop_every_member(split=False) == (1, 2)
+        assert _drop_every_member(split=True) == (2, 0)
+    finally:
+        gc.enable()
+    assert gc.collect() == 0
+
+
+class _CuttingForest(CactusForest):
+    """Records each ring that `_retire` cuts."""
+
+    def __init__(self):
+        super().__init__()
+        self.cut = []
+
+    def _retire(self, cyc):
+        self.cut.append(cyc)
+        super()._retire(cyc)
+
+
+def _drop_every_member(split):
+    """Drops each live node of a ring4 cactus, split first into two 2-cycles
+    when `split`; returns (rings cut, drops that reached a cut ring)."""
+    cf, *nodes = ring4(_CuttingForest())
+    if split:
+        cf.compress_cycle_path(nodes[0], nodes[2])
+    live = list(dict.fromkeys(cf.representative(n) for n in nodes))
+    rings = cf.cycles(*live)
+    reached_cut = 0
+    for node in live:
+        already_cut = node.parent is not None and node.parent.parent_entry.real is None
+        cut = list(cf.cut)
+        cf._drop(node)
+        assert node.handle is None
+        if already_cut:
+            reached_cut += 1
+            assert cf.cut == cut
+    assert len(cf.cut) == len(rings) and set(cf.cut) == rings
+    assert all(cyc.parent_entry.real is None for cyc in rings)
+    return len(cf.cut), reached_cut
 
 
 def test_squeeze_four_cycle_adjacent_and_opposite():
     cf, a, b, c, d = ring4()
     _nodes, out, _z = cf.compress_cycle_path(a, b)
     assert out == ["ab"]
-    assert len(cf.cycles()) == 1
-    cf.check_lists()
+    assert len(cf.cycles(a, b, c, d)) == 1
+    cf.check_lists(a, b, c, d)
 
     cf2, a2, b2, c2, d2 = ring4()
     _nodes, out2, _z = cf2.compress_cycle_path(a2, c2)
     assert out2 == []
-    assert len(cf2.cycles()) == 2
-    cf2.check_lists()
-    for cycle in cf2.cycles():
+    assert len(cf2.cycles(a2, b2, c2, d2)) == 2
+    cf2.check_lists(a2, b2, c2, d2)
+    for cycle in cf2.cycles(a2, b2, c2, d2):
         e = cycle.parent_entry
         count = 1
         while e.right is not cycle.parent_entry:
@@ -184,7 +229,7 @@ def test_join_deep_node_reroots():
     other = cf.new_node("o")
     deep = next(n for n in (a, b, c) if cf.representative(n).parent is not None)
     cf.join_cactuses([deep, other], ["p5", "p6"])
-    cf.check_lists()
+    cf.check_lists(a, b, c, other)
     root = cf.root_path(a)[-1]
     assert cf.root_path(other)[-1] is root
     assert root.size == 4
@@ -204,9 +249,10 @@ def test_join_keeps_the_last_largest_root_and_reroots_the_others():
     roots = [cf.root_path(x)[-1] for x in (a1, b1, c1)]
     assert roots == [a2, b3, c3] and [r.size for r in roots] == [2, 3, 3]
     touches = cf.reroot_touches
+    ends = (a1, a2, b1, b2, b3, c1, c2, c3)
     cf.join_cactuses([a1, b1, c1], ["ab", "bc", "ca"])
-    cf.check_lists()
-    (cyc,) = [cyc for cyc in cf.cycles() if cyc.parent_entry.real is c1]
+    cf.check_lists(*ends)
+    (cyc,) = [cyc for cyc in cf.cycles(*ends) if cyc.parent_entry.real is c1]
     assert c3.parent is None and c3.size == 8
     assert all(cf.root_path(x)[-1] is c3 for x in (a1, a2, b1, b2, b3, c1, c2))
     assert a1.parent is cyc and b1.parent is cyc
@@ -222,14 +268,16 @@ def test_join_with_two_ends_in_one_cactus_changes_nothing():
     b, y = cf.new_node("b"), cf.new_node("y")
     cf.join_cactuses([b, y], ["by", "yb"])
 
+    nodes = (a, b, c, x, y)
+
     def state():
-        links = [(n.parent, n.entry, n.size) for n in (a, b, c, x, y)]
-        return expanded_counter(cf), cf.cycles(), links, cf.reroot_touches
+        links = [(n.parent, n.entry, n.size) for n in nodes]
+        return expanded_counter(cf, *nodes), cf.cycles(*nodes), links, cf.reroot_touches
 
     before = state()
     with pytest.raises(DuplicateCactusError):
         cf.join_cactuses([a, b, c], ["ab", "bc", "ca"])
-    cf.check_lists()
+    cf.check_lists(*nodes)
     assert state() == before
 
 
@@ -252,7 +300,7 @@ def test_sibling_squeeze_with_parent_entry_in_segment():
         want_nodes, want_removed = shadow.compress(u, v)
         assert [frozen[n] for n in got_nodes] == want_nodes
         assert Counter(got_pays) == want_removed
-        cf.check_lists()
+        cf.check_lists(*nodes)
         part, edges, _ = live_cactus_state(cf, nodes)
         assert part == shadow.partition()
         assert edges == shadow.edge_counter()
@@ -307,7 +355,7 @@ def _random_shadow_run(seed, steps, n_seed):
             want_nodes, want_removed = shadow.compress(x, y)
             assert [frozen[n] for n in nodes] == want_nodes
             assert Counter(payloads) == want_removed
-        cf.check_lists()
+        cf.check_lists(*created)
         part, edges, _ = live_cactus_state(cf, created)
         assert part == shadow.partition()
         assert edges == shadow.edge_counter()
@@ -342,7 +390,7 @@ def test_segment_walk_bound_single_cycle():
     cf = CactusForest()
     nodes = [cf.new_node(i) for i in range(k)]
     cf.join_cactuses(nodes, list(range(k)))
-    (cycle,) = cf.cycles()
+    (cycle,) = cf.cycles(*nodes)
     origin = cycle.origin
     rng = random.Random(1)
     live = set(nodes)
@@ -361,4 +409,4 @@ def test_segment_walk_bound_single_cycle():
     assert origin.walk_touches <= 4 * k * math.ceil(math.log2(k))
     # the forest-wide count is this origin's alone, and no cycle is left
     assert cf.walk_touches == origin.walk_touches
-    assert not cf.cycles()
+    assert not cf.cycles(*nodes)

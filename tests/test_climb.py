@@ -71,7 +71,7 @@ def test_cactus_meet_at_cycle_node():
     a, b, c, d = (cf.new_node(k) for k in "abcd")
     cf.join_cactuses([a, b, c, d], ["ab", "bc", "cd", "da"])
     # the last of equally large cactuses becomes the parent of the new cycle
-    (cyc,) = cf.cycles()
+    (cyc,) = cf.cycles(a, b, c, d)
     assert cf.representative(cyc.parent_entry.real) is d
     path_a, path_c = meet(a, c, cf._up)
     assert path_a == [a, cyc] and path_c == [c, cyc]

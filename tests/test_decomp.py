@@ -705,13 +705,26 @@ def _break_a_member_ring(tree, by_level):
     tree._next[0] = 1
 
 
-def _leak_a_cycle(tree, by_level):
-    cf = tree._cf
-    cf.join_cactuses([cf.new_node(None), cf.new_node(None)], [None, None])
+def _member_of_the_four_node_cactus(by_level):
+    """A real node that hangs from the 4-entry ring, not its parent."""
+    two_ecc = max(by_level[2], key=lambda nd: len(nd.children))
+    return next(ch.fnode for ch in two_ecc.children if ch.fnode.parent is not None)
 
 
-def _forget_live_cycles(tree, by_level):
-    tree._cf._cycles.clear()
+def _one_sided_ring_link(tree, by_level):
+    # the entry skips its right neighbour, which still links back to it
+    e = _member_of_the_four_node_cactus(by_level).entry
+    e.right = e.right.right
+
+
+def _unbind_a_member_entry(tree, by_level):
+    _member_of_the_four_node_cactus(by_level).entry = None
+
+
+def _retire_a_live_ring(tree, by_level):
+    # a cut ring that a live node still hangs from; the root climbs of the
+    # binding check would meet its cleared entries
+    tree._cf._retire(_member_of_the_four_node_cactus(by_level).parent)
 
 
 @pytest.mark.parametrize(
@@ -734,8 +747,9 @@ def _forget_live_cycles(tree, by_level):
         _oversize_a_class,
         _miscount_the_classes,
         _break_a_member_ring,
-        _leak_a_cycle,
-        _forget_live_cycles,
+        _one_sided_ring_link,
+        _unbind_a_member_entry,
+        _retire_a_live_ring,
     ],
 )
 def test_validate_catches_corruption(corrupt):
@@ -754,6 +768,9 @@ def test_validate_catches_corruption(corrupt):
     match = {
         _give_leaf_a_child: "has children",
         _give_leaf_a_list: r"holds \[\] as its children",
+        _one_sided_ring_link: "broken or retired ring",
+        _unbind_a_member_entry: "member binding broken",
+        _retire_a_live_ring: "broken or retired ring",
     }.get(corrupt)
     with pytest.raises(DecompError, match=match):
         tree.validate()

@@ -5,7 +5,15 @@ from collections import Counter
 
 import pytest
 
-from eccforge import DecompTree, Multigraph, SparsTree, max_kec_subgraphs, maximal_kec_bruteforce
+from eccforge import (
+    DecompTree,
+    Multigraph,
+    SparsTree,
+    k_certificate,
+    kecc_partition,
+    max_kec_subgraphs,
+    maximal_kec_bruteforce,
+)
 from eccforge.dynamic import _cut_side
 from eccforge.gen import planted_clusters, random_dynamic_stream, replay
 from eccforge.graph import SelfLoopError, UnknownEdgeError, UnknownVertexError
@@ -66,6 +74,19 @@ def test_build_two_k4_bridge(two_k4_bridge):
 def test_build_requires_positive_k():
     with pytest.raises(ValueError):
         SparsTree(Multigraph(), 0)
+
+
+@pytest.mark.parametrize("k", [True, 2.0], ids=["True", "2.0"])
+def test_k_that_is_not_an_int_is_rejected(k):
+    # True == 1 and 2.0 == 2 pass a range check, and SparsTree would keep
+    # True as its k; every entry point that checks k's range rejects them
+    g = k4_pair()
+    solves = (SparsTree, max_kec_subgraphs, k_certificate, kecc_partition, maximal_kec_bruteforce)
+    for solve in solves:
+        with pytest.raises(ValueError, match="k must be an int"):
+            solve(g, k)
+    with pytest.raises(ValueError, match="k must be an int"):
+        kec_classes({1: {2: 3}, 2: {1: 3}}, {1, 2}, k)
 
 
 def test_insert_bridge_then_second_link():
